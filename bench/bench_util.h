@@ -139,6 +139,14 @@ inline PmiBuildOptions DefaultPmiBuild() {
   return build;
 }
 
+/// DefaultPmiBuild with the paper's sampled-bound cells instead of exact
+/// SIP: Figures 11 and 12 measure the Section 4.1 bounds themselves.
+inline PmiBuildOptions BoundOnlyPmiBuild() {
+  PmiBuildOptions build = DefaultPmiBuild();
+  build.bound_only_cells = true;
+  return build;
+}
+
 inline Setup BuildSetupFromDataset(const SyntheticOptions& dataset,
                                    const PmiBuildOptions& build =
                                        DefaultPmiBuild()) {

@@ -8,7 +8,8 @@
 //
 // Paper shape: more/larger features help until bounds loosen (candidates
 // grow with maxL); alpha has a sweet spot; index cost falls as beta/gamma
-// grow (fewer features survive).
+// grow (fewer features survive). Every PMI is built bound-only, so build
+// time and pruning reflect the paper's sampled bounds, not exact cells.
 //
 // Flags: --db, --queries, --seed, --qsize, --delta, --epsilon.
 
@@ -104,7 +105,7 @@ int main(int argc, char** argv) {
   {
     Table table({"maxL", "Structure", "SSPBound", "OPT-SSPBound"});
     for (uint32_t max_l : {2u, 3u, 4u, 5u, 6u}) {
-      PmiBuildOptions build = DefaultPmiBuild();
+      PmiBuildOptions build = BoundOnlyPmiBuild();
       build.miner.max_vertices = max_l;
       const PointResult r = MeasurePoint(db, certain, build, num_queries,
                                          qsize, delta, epsilon, seed);
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
   {
     Table table({"alpha", "Structure", "SIPBound", "OPT-SIPBound"});
     for (double alpha : {0.05, 0.10, 0.15, 0.20, 0.25}) {
-      PmiBuildOptions build = DefaultPmiBuild();
+      PmiBuildOptions build = BoundOnlyPmiBuild();
       build.miner.alpha = alpha;
       const PointResult r = MeasurePoint(db, certain, build, num_queries,
                                          qsize, delta, epsilon, seed);
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
   {
     Table table({"beta", "Structure_s", "OPT-SIPBound_build_s"});
     for (double beta : {0.05, 0.10, 0.15, 0.20, 0.25}) {
-      PmiBuildOptions build = DefaultPmiBuild();
+      PmiBuildOptions build = BoundOnlyPmiBuild();
       build.miner.beta = beta;
       WallTimer structural_timer;
       auto pmi = ProbabilisticMatrixIndex::Build(db, build).value();
@@ -153,7 +154,7 @@ int main(int argc, char** argv) {
   {
     Table table({"gamma", "num_features", "index_KB"});
     for (double gamma : {0.05, 0.10, 0.15, 0.20, 0.25}) {
-      PmiBuildOptions build = DefaultPmiBuild();
+      PmiBuildOptions build = BoundOnlyPmiBuild();
       build.miner.gamma = gamma;
       auto pmi = ProbabilisticMatrixIndex::Build(db, build).value();
       table.AddRow({Fmt(gamma, 2), std::to_string(pmi.features().size()),
@@ -164,9 +165,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nExpected shape (laptop scale, see EXPERIMENTS.md): candidates fall "
-      "steeply from maxL=2 and saturate around maxL=4 (feature size drives "
-      "pruning power); alpha is flat at this scale; build time and index "
-      "size fall as beta/gamma grow.\n");
+      "\nExpected shape (laptop scale, see README \"Benchmarks\"): "
+      "candidates fall steeply from maxL=2 and saturate around maxL=4 "
+      "(feature size drives pruning power); alpha is flat at this scale; "
+      "build time and index size fall as beta/gamma grow.\n");
   return 0;
 }

@@ -63,8 +63,8 @@ SipBounds ComputeSipBounds(const ProbabilisticGraph& g, const Graph& feature,
                            const SipBoundOptions& options, Rng* rng);
 
 /// Computes SIP bounds for many features against one graph, sharing a single
-/// Monte-Carlo world pool across all Algorithm 3 estimates (the PMI builder's
-/// hot path: identical estimates, ~|features| times fewer sampled worlds).
+/// Monte-Carlo world pool across all Algorithm 3 estimates (the PMI's sampled
+/// cells: identical estimates, ~|features| times fewer sampled worlds).
 ///
 /// `feature_plans`, when non-null, supplies one compiled MatchPlan per entry
 /// of `features` (the PMI passes its build-once feature plans); null entries

@@ -1,7 +1,9 @@
 #include "pgsim/index/pmi.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -9,6 +11,7 @@
 #include "pgsim/common/timer.h"
 #include "pgsim/graph/io.h"
 #include "pgsim/graph/vf2.h"
+#include "pgsim/prob/dnf_exact.h"
 #include "pgsim/storage/io_util.h"
 
 namespace pgsim {
@@ -17,8 +20,99 @@ namespace {
 constexpr uint32_t kPmiMagic1 = 0x504d4931;  // "PMI1": pre-epoch format
 constexpr uint32_t kPmiMagic2 = 0x504d4932;  // "PMI2": + epoch/tombstones
 // "PMI3": checksummed sections, atomic install, sip options persisted.
+// Version 2 appends the cell-mode byte to the trailer; version 1 files
+// predate exact cells and load as bound-only.
 constexpr uint32_t kPmiMagic3 = 0x504d4933;
-constexpr uint32_t kPmi3Version = 1;
+constexpr uint32_t kPmi3Version = 2;
+
+// Node budget of one exact cell. It counts DNF search nodes, never time, so
+// whether a cell is exact is a pure function of (graph, feature).
+constexpr uint64_t kExactCellNodeBudget = 100'000;
+
+// Cells are floats: round an exact SIP outward so the stored [lower, upper]
+// still brackets the double the DNF engine computed.
+float FloatBelow(double x) {
+  const float f = static_cast<float>(x);
+  return static_cast<double>(f) > x
+             ? std::nextafter(f, -std::numeric_limits<float>::infinity())
+             : f;
+}
+float FloatAbove(double x) {
+  const float f = static_cast<float>(x);
+  return static_cast<double>(f) < x
+             ? std::nextafter(f, std::numeric_limits<float>::infinity())
+             : f;
+}
+
+struct PmiColumn {
+  std::vector<PmiEntry> entries;  // ascending feature id
+  size_t exact_cells = 0;
+  size_t fallback_cells = 0;
+};
+
+// Fills one graph's cells for `feature_ids` (ascending, each ⊆iso gc) —
+// the one routine behind Build and AddGraph. Each feature's embeddings are
+// enumerated once and handed to the exact DNF engine; only cells whose
+// embedding list truncates or whose DNF exceeds the node budget (or every
+// cell, in bound-only mode) get Section 4.1 bounds from one
+// ComputeSipBoundsBatch call on `rng`, which is skipped when none do.
+PmiColumn FillColumn(const ProbabilisticGraph& g,
+                     const std::vector<uint32_t>& feature_ids,
+                     const std::vector<Feature>& features,
+                     const std::vector<MatchPlan>& plans,
+                     const SipBoundOptions& sip, bool bound_only, Rng* rng) {
+  PmiColumn column;
+  column.entries.resize(feature_ids.size());
+  std::vector<size_t> sampled;  // positions left to the bound machinery
+  if (bound_only) {
+    for (size_t k = 0; k < feature_ids.size(); ++k) sampled.push_back(k);
+  } else {
+    DnfExactOptions dnf;
+    dnf.max_nodes = kExactCellNodeBudget;
+    Vf2Scratch vf2;
+    for (size_t k = 0; k < feature_ids.size(); ++k) {
+      bool truncated = false;
+      const std::vector<EdgeBitset> embeddings =
+          EmbeddingEdgeSets(plans[feature_ids[k]], g.certain(),
+                            sip.max_cut_embeddings, &truncated, &vf2);
+      if (!truncated) {
+        const Result<double> exact = ExactDnfProbability(g, embeddings, dnf);
+        if (exact.ok()) {
+          PmiEntry& e = column.entries[k];
+          e.lower_opt = e.lower_simple = FloatBelow(*exact);
+          e.upper_opt = e.upper_simple = FloatAbove(*exact);
+          continue;
+        }
+      }
+      sampled.push_back(k);
+    }
+    column.exact_cells = feature_ids.size() - sampled.size();
+    column.fallback_cells = sampled.size();
+  }
+  if (!sampled.empty()) {
+    std::vector<const Graph*> feature_graphs;
+    std::vector<const MatchPlan*> feature_plans;
+    feature_graphs.reserve(sampled.size());
+    feature_plans.reserve(sampled.size());
+    for (size_t k : sampled) {
+      feature_graphs.push_back(&features[feature_ids[k]].graph);
+      feature_plans.push_back(&plans[feature_ids[k]]);
+    }
+    const std::vector<SipBounds> bounds =
+        ComputeSipBoundsBatch(g, feature_graphs, sip, rng, &feature_plans);
+    for (size_t j = 0; j < sampled.size(); ++j) {
+      PmiEntry& e = column.entries[sampled[j]];
+      e.lower_opt = static_cast<float>(bounds[j].lower_opt);
+      e.upper_opt = static_cast<float>(bounds[j].upper_opt);
+      e.lower_simple = static_cast<float>(bounds[j].lower_simple);
+      e.upper_simple = static_cast<float>(bounds[j].upper_simple);
+    }
+  }
+  for (size_t k = 0; k < feature_ids.size(); ++k) {
+    column.entries[k].feature_id = feature_ids[k];
+  }
+  return column;
+}
 }  // namespace
 
 void ProbabilisticMatrixIndex::RebuildFeaturePlans() {
@@ -121,6 +215,7 @@ Result<ProbabilisticMatrixIndex> ProbabilisticMatrixIndex::Build(
   WallTimer total_timer;
   ProbabilisticMatrixIndex index;
   index.sip_options_ = options.sip;
+  index.bound_only_cells_ = options.bound_only_cells;
   index.beta_watermark_ = options.miner.beta;
 
   // One pool serves the whole offline pipeline: candidate mining fan-out,
@@ -161,43 +256,24 @@ Result<ProbabilisticMatrixIndex> ProbabilisticMatrixIndex::Build(
   // exact fork sequence of a sequential build — then fill columns in
   // parallel. Each task touches only its own column/RNG slot.
   Rng rng(options.seed);
-  std::vector<std::vector<PmiEntry>> columns(database.size());
+  std::vector<PmiColumn> filled(database.size());
   std::vector<Rng> column_rngs(database.size(), Rng(0));
   for (uint32_t gi = 0; gi < database.size(); ++gi) {
     if (!features_of_graph[gi].empty()) column_rngs[gi] = rng.Fork();
   }
   ForEachIndex(pool, database.size(), 1, [&](size_t gi) {
-    const std::vector<uint32_t>& feature_ids = features_of_graph[gi];
-    if (feature_ids.empty()) return;
-    std::vector<const Graph*> feature_graphs;
-    std::vector<const MatchPlan*> feature_plans;
-    feature_graphs.reserve(feature_ids.size());
-    feature_plans.reserve(feature_ids.size());
-    for (uint32_t fi : feature_ids) {
-      feature_graphs.push_back(&index.features_[fi].graph);
-      feature_plans.push_back(&index.feature_plans_[fi]);
-    }
-    const std::vector<SipBounds> bounds =
-        ComputeSipBoundsBatch(database[gi], feature_graphs, options.sip,
-                              &column_rngs[gi], &feature_plans);
-    auto& column = columns[gi];
-    column.reserve(feature_ids.size());
-    for (size_t k = 0; k < feature_ids.size(); ++k) {
-      // Mining support says f ⊆iso gc, so embeddings must exist; guard
-      // against truncation artifacts anyway.
-      PmiEntry entry;
-      entry.feature_id = feature_ids[k];
-      entry.lower_opt = static_cast<float>(bounds[k].lower_opt);
-      entry.upper_opt = static_cast<float>(bounds[k].upper_opt);
-      entry.lower_simple = static_cast<float>(bounds[k].lower_simple);
-      entry.upper_simple = static_cast<float>(bounds[k].upper_simple);
-      column.push_back(entry);
-    }
-    std::sort(column.begin(), column.end(),
-              [](const PmiEntry& a, const PmiEntry& b) {
-                return a.feature_id < b.feature_id;
-              });
+    if (features_of_graph[gi].empty()) return;
+    filled[gi] = FillColumn(database[gi], features_of_graph[gi],
+                            index.features_, index.feature_plans_,
+                            options.sip, index.bound_only_cells_,
+                            &column_rngs[gi]);
   });
+  std::vector<std::vector<PmiEntry>> columns(database.size());
+  for (size_t gi = 0; gi < database.size(); ++gi) {
+    index.stats_.exact_cells += filled[gi].exact_cells;
+    index.stats_.fallback_cells += filled[gi].fallback_cells;
+    columns[gi] = std::move(filled[gi].entries);
+  }
   index.SetColumns(std::move(columns));
   index.stats_.bounds_seconds = bounds_timer.Seconds();
   index.stats_.total_seconds = total_timer.Seconds();
@@ -213,19 +289,16 @@ Result<uint32_t> ProbabilisticMatrixIndex::AddGraph(
   const size_t num_features = features_.size();
   // Which existing features occur in the new graph's certain graph?
   std::vector<uint32_t> feature_ids;
-  std::vector<const Graph*> feature_graphs;
-  std::vector<const MatchPlan*> plan_ptrs;
   Vf2Scratch vf2;
   for (uint32_t fi = 0; fi < num_features; ++fi) {
     if (IsSubgraphIsomorphic(feature_plans_[fi], graph.certain(), &vf2)) {
       feature_ids.push_back(fi);
-      feature_graphs.push_back(&features_[fi].graph);
-      plan_ptrs.push_back(&feature_plans_[fi]);
     }
   }
   Rng rng(seed);
-  const std::vector<SipBounds> bounds =
-      ComputeSipBoundsBatch(graph, feature_graphs, sip, &rng, &plan_ptrs);
+  const PmiColumn column = FillColumn(graph, feature_ids, features_,
+                                      feature_plans_, sip, bound_only_cells_,
+                                      &rng);
 
   // Append one num_features-cell block per matrix in place; graph-major
   // layout means no existing cell moves, so the cost is O(|F|) regardless
@@ -236,15 +309,15 @@ Result<uint32_t> ProbabilisticMatrixIndex::AddGraph(
   lower_simple_.resize(new_cells, 0.0f);
   upper_simple_.resize(new_cells, 0.0f);
   present_.resize(new_cells, 0);
-  for (size_t k = 0; k < feature_ids.size(); ++k) {
-    const size_t idx = Flat(feature_ids[k], graph_id);
-    lower_opt_[idx] = static_cast<float>(bounds[k].lower_opt);
-    upper_opt_[idx] = static_cast<float>(bounds[k].upper_opt);
-    lower_simple_[idx] = static_cast<float>(bounds[k].lower_simple);
-    upper_simple_[idx] = static_cast<float>(bounds[k].upper_simple);
+  for (const PmiEntry& e : column.entries) {
+    const size_t idx = Flat(e.feature_id, graph_id);
+    lower_opt_[idx] = e.lower_opt;
+    upper_opt_[idx] = e.upper_opt;
+    lower_simple_[idx] = e.lower_simple;
+    upper_simple_[idx] = e.upper_simple;
     present_[idx] = 1;
     // graph_id exceeds every existing id, so the append keeps support sorted.
-    features_[feature_ids[k]].support.push_back(graph_id);
+    features_[e.feature_id].support.push_back(graph_id);
   }
   // feature_ids was filled in ascending fi order: already CSR-sorted.
   col_features_.insert(col_features_.end(), feature_ids.begin(),
@@ -254,6 +327,8 @@ Result<uint32_t> ProbabilisticMatrixIndex::AddGraph(
   ++num_graphs_;
   ++num_alive_;
   stats_.num_entries += feature_ids.size();
+  stats_.exact_cells += column.exact_cells;
+  stats_.fallback_cells += column.fallback_cells;
   ++epoch_;
   ++adds_since_build_;
   RecomputeFrequencies();
@@ -329,8 +404,8 @@ size_t ProbabilisticMatrixIndex::SizeBytes() const {
     bytes += 4 + column_size * (4 + 4 * sizeof(float));
   }
   // Trailer: epoch + alive bytes + beta watermark + add/remove counts +
-  // the 11 persisted sip-option scalars.
-  bytes += 8 + num_graphs_ + 8 + 16 + 88;
+  // the 11 persisted sip-option scalars + the cell-mode byte.
+  bytes += 8 + num_graphs_ + 8 + 16 + 88 + 1;
   return bytes;
 }
 
@@ -390,6 +465,7 @@ Status ProbabilisticMatrixIndex::Save(const std::string& path) const {
   WriteU64(tr, sip_options_.mc.max_samples);
   WriteU64(tr, sip_options_.clique.exact_node_limit);
   WriteU64(tr, sip_options_.clique.max_bb_nodes);
+  tr.put(bound_only_cells_ ? '\1' : '\0');
   writer.AddSection(tr.str());
 
   return writer.Commit(path, "snapshot.pmi");
@@ -478,7 +554,7 @@ Result<ProbabilisticMatrixIndex> ProbabilisticMatrixIndex::Load(
   if (magic == kPmiMagic3) {
     PGSIM_ASSIGN_OR_RETURN(SnapshotReader snap,
                            SnapshotReader::Open(path, kPmiMagic3));
-    if (snap.version() != kPmi3Version) {
+    if (snap.version() != 1 && snap.version() != kPmi3Version) {
       return Status::InvalidArgument("PMI Load: unsupported PMI3 version " +
                                      std::to_string(snap.version()));
     }
@@ -516,6 +592,14 @@ Result<ProbabilisticMatrixIndex> ProbabilisticMatrixIndex::Load(
     PGSIM_ASSIGN_OR_RETURN(sip.clique.exact_node_limit, ReadU64(tr));
     PGSIM_ASSIGN_OR_RETURN(sip.clique.max_bb_nodes, ReadU64(tr));
     index.sip_options_ = sip;
+    index.bound_only_cells_ = true;  // version 1: sampled cells only
+    if (snap.version() >= 2) {
+      const int mode = tr.get();
+      if (mode != 0 && mode != 1) {
+        return Status::DataLoss("PMI Load: bad cell-mode byte in " + path);
+      }
+      index.bound_only_cells_ = mode == 1;
+    }
   } else {
     std::ifstream is(path, std::ios::binary);
     if (!is) return Status::NotFound("PMI Load: cannot open " + path);
@@ -537,7 +621,9 @@ Result<ProbabilisticMatrixIndex> ProbabilisticMatrixIndex::Load(
     }
     // PMI1 files predate epochs: everything alive, epoch 0 (SetColumns set
     // the alive state already). Neither legacy format carries sip options;
-    // they stay at defaults (callers should re-set them).
+    // they stay at defaults (callers should re-set them). Both predate
+    // exact cells.
+    index.bound_only_cells_ = true;
   }
   index.stats_.num_features = index.features_.size();
   index.stats_.size_bytes = index.SizeBytes();

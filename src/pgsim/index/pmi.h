@@ -1,13 +1,23 @@
 // Probabilistic Matrix Index — PMI (paper Section 3.1, Figure 4, Section 4).
 //
 // Rows are mined features, columns are the probabilistic graphs of the
-// database. Entry (f, g) stores tight lower/upper bounds of the subgraph
+// database. Entry (f, g) stores lower/upper bounds of the subgraph
 // isomorphism probability Pr(f ⊆iso g); a missing entry encodes the paper's
 // <0> (f is not subgraph isomorphic to gc, so SIP is exactly 0).
 //
 // Each entry carries the bounds in both flavors exercised by the paper's
 // experiments: OPT (max-weight-clique selection, feeding OPT-SIPBound) and
 // simple (greedy selection, feeding SIPBound, Figure 11's ablation).
+//
+// Cells are exact where that is cheap. SIP is #P-complete in general, but
+// feature-sized DNFs over one graph's embeddings usually evaluate in
+// microseconds, so by default each cell runs the exact DNF engine under a
+// fixed node budget and stores the exact value, rounded outward to floats,
+// as both bounds of both flavors. Only a cell whose embedding list hits
+// sip.max_cut_embeddings or whose DNF exceeds the budget falls back to the
+// Section 4.1 sampled bounds (ComputeSipBoundsBatch). The paper's
+// bound-only cells stay behind PmiBuildOptions::bound_only_cells; the
+// choice is persisted, so AddGraph after Load keeps the build's mode.
 //
 // Storage is columnar: the four bound flavors live in flat graph-major
 // float matrices (`flat_*()[graph * num_features() + feature]`) with absent
@@ -70,6 +80,9 @@ struct PmiBuildOptions {
   FeatureMinerOptions miner;
   SipBoundOptions sip;
   uint64_t seed = 42;  ///< Seed for the Algorithm 3 samplers.
+  /// Fill every cell with the paper's sampled Section 4.1 bounds instead of
+  /// exact SIP (Figures 11 and 12 measure those bounds). Off by default.
+  bool bound_only_cells = false;
   /// Worker threads for the whole offline pipeline (feature mining + the
   /// per-graph SIP bound columns); 0 means ThreadPool::DefaultThreads(),
   /// 1 builds fully inline. The build pool is forwarded to the miner only
@@ -92,6 +105,11 @@ struct PmiStats {
   size_t num_entries = 0;
   size_t size_bytes = 0;       ///< serialized index size
   uint32_t build_threads = 1;  ///< effective worker count of Build()
+  /// Cells filled by Build and AddGraph on this instance (not persisted):
+  /// exact SIP, and sampled bounds after the exact engine gave up. Both
+  /// stay 0 for a bound-only index.
+  size_t exact_cells = 0;
+  size_t fallback_cells = 0;
 };
 
 /// Live-maintenance snapshot (see the header comment's contract).
@@ -113,8 +131,9 @@ class ProbabilisticMatrixIndex {
  public:
   ProbabilisticMatrixIndex() = default;
 
-  /// Mines features from the certain database and fills the matrix by
-  /// running the Section 4.1 bound machinery per (feature, graph) pair.
+  /// Mines features from the certain database and fills the matrix with
+  /// exact SIP per (feature, graph) pair, or with the Section 4.1 bounds
+  /// where the exact engine gives up or options.bound_only_cells is set.
   static Result<ProbabilisticMatrixIndex> Build(
       const std::vector<ProbabilisticGraph>& database,
       const PmiBuildOptions& options = PmiBuildOptions());
@@ -196,6 +215,11 @@ class ProbabilisticMatrixIndex {
   const SipBoundOptions& sip_options() const { return sip_options_; }
   void set_sip_options(const SipBoundOptions& sip) { sip_options_ = sip; }
 
+  /// True when cells hold only sampled bounds (the build's
+  /// PmiBuildOptions::bound_only_cells; persisted by PMI3, and true for
+  /// files written before exact cells existed). AddGraph follows it.
+  bool bound_only_cells() const { return bound_only_cells_; }
+
   /// Serialized size in bytes (features + the sparse per-graph entry
   /// format Save() writes). NOT the resident footprint: in memory the four
   /// bound flavors + presence live as dense graph-major matrices
@@ -204,10 +228,10 @@ class ProbabilisticMatrixIndex {
   size_t SizeBytes() const;
 
   /// Persists the index (features, matrix, stats, epoch, tombstones, sip
-  /// options) as a checksummed PMI3 file, installed atomically (temp +
-  /// fsync + rename — a crash leaves the old file intact). A mutated index
-  /// round-trips exactly: Save -> Load -> Save produces byte-identical
-  /// files.
+  /// options, cell mode) as a checksummed PMI3 file, installed atomically
+  /// (temp + fsync + rename — a crash leaves the old file intact). A mutated
+  /// index round-trips exactly: Save -> Load -> Save produces
+  /// byte-identical files.
   Status Save(const std::string& path) const;
 
   /// Restores an index saved by Save(); also accepts legacy PMI2 and
@@ -217,11 +241,13 @@ class ProbabilisticMatrixIndex {
   static Result<ProbabilisticMatrixIndex> Load(const std::string& path);
 
   /// Incremental maintenance: appends a new graph column in place —
-  /// O(|F|) matrix work plus the per-contained-feature bound computation,
-  /// independent of the database size (BM_Pmi_AddGraph pins this). Bounds
-  /// are computed against the existing feature set; features are NOT
-  /// re-mined (watch maintenance().remine_advised). Returns the new graph
-  /// id and bumps the epoch. `contained`, when non-null, receives the
+  /// O(|F|) matrix work plus the per-contained-feature cell computation,
+  /// independent of the database size (BM_Pmi_AddGraph pins this). Cells
+  /// are computed against the existing feature set, exactly as Build fills
+  /// a column (a copy of graph k gets column k's exact cells; `seed` feeds
+  /// only sampled cells); features are NOT re-mined (watch
+  /// maintenance().remine_advised). Returns the new graph id and bumps the
+  /// epoch. `contained`, when non-null, receives the
   /// feature ids embedded in the new graph (callers forward it to
   /// StructuralFilter::AddGraph to skip recomputing containment).
   Result<uint32_t> AddGraph(const ProbabilisticGraph& graph,
@@ -280,6 +306,7 @@ class ProbabilisticMatrixIndex {
   // Mining beta recorded at Build(): the re-mine watermark.
   double beta_watermark_ = 0.0;
   SipBoundOptions sip_options_;
+  bool bound_only_cells_ = false;
   PmiStats stats_;
 };
 

@@ -38,12 +38,12 @@ namespace {
 // Partition-model engine: process ne groups in order; a term dies when a
 // group assignment misses one of its edges, and is satisfied once its last
 // group has been assigned with all of its edges present. Memoized on
-// (group index, alive-term mask).
+// (group index, alive-term mask); each memo miss is one budgeted node.
 class PartitionDnfSolver {
  public:
   PartitionDnfSolver(const ProbabilisticGraph& g,
-                     const std::vector<EdgeBitset>& terms)
-      : g_(g), terms_(terms) {
+                     const std::vector<EdgeBitset>& terms, uint64_t max_nodes)
+      : g_(g), terms_(terms), max_nodes_(max_nodes) {
     const auto& ne_sets = g.ne_sets();
     term_last_group_.assign(terms.size(), 0);
     term_group_masks_.assign(
@@ -61,19 +61,28 @@ class PartitionDnfSolver {
     }
   }
 
-  double Solve() {
+  Result<double> Solve() {
     const uint64_t all_alive =
         terms_.size() == 64 ? ~0ULL : ((1ULL << terms_.size()) - 1);
-    return Recurse(0, all_alive);
+    const double p = Recurse(0, all_alive);
+    if (exhausted_) {
+      return Status::ResourceExhausted(
+          "ExactDnfProbability: partition node budget exceeded");
+    }
+    return p;
   }
 
  private:
   double Recurse(uint32_t group, uint64_t alive) {
-    if (alive == 0) return 0.0;
+    if (exhausted_ || alive == 0) return 0.0;
     if (group == g_.ne_sets().size()) return 0.0;
     const auto key = std::make_pair(group, alive);
     auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
+    if (++nodes_ > max_nodes_) {
+      exhausted_ = true;
+      return 0.0;
+    }
 
     const NeighborEdgeSet& ne = g_.ne_sets()[group];
     const uint32_t table_size = 1U << ne.edges.size();
@@ -107,6 +116,9 @@ class PartitionDnfSolver {
   // edges inside group gi.
   std::vector<std::vector<uint32_t>> term_group_masks_;
   std::map<std::pair<uint32_t, uint64_t>, double> memo_;
+  const uint64_t max_nodes_;
+  uint64_t nodes_ = 0;
+  bool exhausted_ = false;
 };
 
 // Any-model engine: Shannon expansion on edge variables with exact branch
@@ -206,10 +218,10 @@ Result<double> ExactDnfProbability(const ProbabilisticGraph& g,
   // no term cap, only the exponential cost Theorem 2 promises.
   if (g.kind() == JointModelKind::kPartition &&
       reduced.size() <= std::min<size_t>(options.max_terms, 64)) {
-    PartitionDnfSolver solver(g, reduced);
+    PartitionDnfSolver solver(g, reduced, options.max_nodes);
     return solver.Solve();
   }
-  ShannonDnfSolver solver(g, reduced, options.max_shannon_nodes);
+  ShannonDnfSolver solver(g, reduced, options.max_nodes);
   return solver.Solve();
 }
 

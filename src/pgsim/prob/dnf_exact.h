@@ -13,6 +13,8 @@
 //     graphs used in tests/benches.
 //   * Any model: Shannon expansion on edge variables, branching with exact
 //     conditional probabilities from the clique tree.
+// One node budget bounds both. It counts search nodes, never time, so a
+// result (or its ResourceExhausted) is a pure function of the input.
 
 #pragma once
 
@@ -31,9 +33,11 @@ struct DnfExactOptions {
   /// alive-term set into 64 bits, so values above 64 are clamped). Beyond
   /// it, evaluation falls back to the Shannon engine (no term cap).
   size_t max_terms = 64;
-  /// Node budget for the Shannon-expansion engine; exceeding it errors —
-  /// the practical manifestation of Theorem 2's #P-hardness.
-  uint64_t max_shannon_nodes = 2'000'000;
+  /// Node budget of either engine: expanded (group, alive-set) states of
+  /// the partition engine, branch nodes of the Shannon engine. Exceeding it
+  /// returns ResourceExhausted — the practical manifestation of Theorem 2's
+  /// #P-hardness.
+  uint64_t max_nodes = 2'000'000;
 };
 
 /// Exact Pr( OR_t [all edges of terms[t] present] ) under g's joint.

@@ -41,7 +41,7 @@ std::string QueryOptionsFingerprint(const QueryOptions& options) {
   fp.AddU64(options.verifier.max_embeddings_per_rq);
   fp.AddU64(options.verifier.max_total_embeddings);
   fp.AddU64(options.verifier.exact.max_terms);
-  fp.AddU64(options.verifier.exact.max_shannon_nodes);
+  fp.AddU64(options.verifier.exact.max_nodes);
   fp.AddU32(options.structural.max_count);
   fp.AddU32(options.structural.max_query_count);
   fp.AddBool(options.structural.exact_check);

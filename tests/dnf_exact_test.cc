@@ -169,11 +169,38 @@ TEST(DnfExactTest, ShannonNodeBudgetErrors) {
   ASSERT_TRUE(pg.ok());
   ASSERT_EQ(pg->kind(), JointModelKind::kTree);
   DnfExactOptions options;
-  options.max_shannon_nodes = 1;
+  options.max_nodes = 1;
   const auto terms = RandomTerms(&rng, pg->NumEdges(), 3, 2);
   auto p = ExactDnfProbability(*pg, terms, options);
   ASSERT_FALSE(p.ok());
   EXPECT_EQ(p.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(DnfExactTest, PartitionNodeBudgetErrors) {
+  // Two disjoint ne groups: both terms span them, so the root expansion
+  // (group 0) leads to three distinct alive sets at group 1 — four nodes.
+  const Graph g = MakeGraph({0, 0, 0, 0}, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}});
+  NeighborEdgeSet ne1, ne2;
+  ne1.edges = {0, 1};
+  ne1.table = JointProbTable::FromWeights({1, 2, 3, 4}).value();
+  ne2.edges = {2};
+  ne2.table = JointProbTable::FromWeights({1, 3}).value();
+  auto pg = ProbabilisticGraph::Create(g, {ne1, ne2});
+  ASSERT_TRUE(pg.ok());
+  ASSERT_EQ(pg->kind(), JointModelKind::kPartition);
+  const std::vector<EdgeBitset> terms{EdgeBitset::FromIndices(3, {0, 2}),
+                                      EdgeBitset::FromIndices(3, {1, 2})};
+  DnfExactOptions options;
+  for (const uint64_t budget : {1u, 3u}) {
+    options.max_nodes = budget;
+    auto p = ExactDnfProbability(*pg, terms, options);
+    ASSERT_FALSE(p.ok()) << "budget=" << budget;
+    EXPECT_EQ(p.status().code(), StatusCode::kResourceExhausted);
+  }
+  options.max_nodes = 4;
+  auto p = ExactDnfProbability(*pg, terms, options);
+  ASSERT_TRUE(p.ok());
+  EXPECT_NEAR(*p, BruteDnf(*pg, terms), 1e-12);
 }
 
 }  // namespace

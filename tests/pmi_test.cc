@@ -1,8 +1,11 @@
 // Tests for the Probabilistic Matrix Index: build invariants, the <0>
-// convention for absent features, bound sandwiching against exact SIP, and
-// save/load round-tripping.
+// convention for absent features, exact cells bracketing exact SIP (and the
+// bound-only mode's sandwich within Monte-Carlo slack), the sampled
+// fallback, AddGraph reproducing Build's cells, and save/load
+// round-tripping.
 
 #include <cstdio>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -54,15 +57,14 @@ TEST(PmiTest, BuildPopulatesEntriesExactlyForSupport) {
   }
 }
 
-TEST(PmiTest, EntriesAreOrderedBounds) {
-  const auto db = SmallDatabase(1203);
-  auto pmi = ProbabilisticMatrixIndex::Build(db, FastBuild());
-  ASSERT_TRUE(pmi.ok());
-  for (uint32_t gi = 0; gi < db.size(); ++gi) {
+void ExpectOrderedBounds(const ProbabilisticMatrixIndex& pmi) {
+  for (uint32_t gi = 0; gi < pmi.num_graphs(); ++gi) {
     uint32_t prev_feature = 0;
     bool first = true;
-    for (const PmiEntry& e : pmi->EntriesFor(gi)) {
-      if (!first) EXPECT_GT(e.feature_id, prev_feature);
+    for (const PmiEntry& e : pmi.EntriesFor(gi)) {
+      if (!first) {
+        EXPECT_GT(e.feature_id, prev_feature);
+      }
       prev_feature = e.feature_id;
       first = false;
       EXPECT_GE(e.lower_opt, 0.0f);
@@ -73,9 +75,108 @@ TEST(PmiTest, EntriesAreOrderedBounds) {
   }
 }
 
+TEST(PmiTest, EntriesAreOrderedBounds) {
+  const auto db = SmallDatabase(1203);
+  auto pmi = ProbabilisticMatrixIndex::Build(db, FastBuild());
+  ASSERT_TRUE(pmi.ok());
+  ExpectOrderedBounds(*pmi);
+}
+
+TEST(PmiTest, DefaultCellsBracketExactSip) {
+  const auto db = SmallDatabase(1207, 6);
+  auto pmi = ProbabilisticMatrixIndex::Build(db, FastBuild());
+  ASSERT_TRUE(pmi.ok());
+  EXPECT_FALSE(pmi->bound_only_cells());
+  EXPECT_EQ(pmi->stats().exact_cells, pmi->stats().num_entries);
+  EXPECT_EQ(pmi->stats().fallback_cells, 0u);
+  size_t checked = 0;
+  for (uint32_t gi = 0; gi < db.size(); ++gi) {
+    for (const PmiEntry& e : pmi->EntriesFor(gi)) {
+      auto exact = ExactSubgraphIsomorphismProbability(
+          db[gi], pmi->features()[e.feature_id].graph);
+      ASSERT_TRUE(exact.ok());
+      // Zero slack: the floats are rounded outward from the exact double.
+      EXPECT_LE(e.lower_opt, *exact) << "graph " << gi << " f" << e.feature_id;
+      EXPECT_GE(e.upper_opt, *exact) << "graph " << gi << " f" << e.feature_id;
+      EXPECT_LE(e.lower_simple, *exact);
+      EXPECT_GE(e.upper_simple, *exact);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 10u);
+}
+
+TEST(PmiTest, AddedCopyGetsTheBuiltColumnBitForBit) {
+  const auto db = SmallDatabase(1219, 8);
+  auto pmi = ProbabilisticMatrixIndex::Build(db, FastBuild());
+  ASSERT_TRUE(pmi.ok());
+  ASSERT_EQ(pmi->stats().fallback_cells, 0u);
+  for (const uint32_t k : {0u, 3u, 7u}) {
+    auto id = pmi->AddGraph(db[k], pmi->sip_options(), /*seed=*/100 + k);
+    ASSERT_TRUE(id.ok());
+    const std::vector<PmiEntry> built = pmi->EntriesFor(k);
+    const std::vector<PmiEntry> added = pmi->EntriesFor(*id);
+    ASSERT_EQ(built.size(), added.size()) << "graph " << k;
+    ASSERT_FALSE(built.empty());
+    for (size_t i = 0; i < built.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&built[i], &added[i], sizeof(PmiEntry)), 0)
+          << "graph " << k << " feature " << built[i].feature_id;
+    }
+  }
+}
+
+TEST(PmiTest, TruncatedCellsFallBackToSampledBounds) {
+  const auto db = SmallDatabase(1203);
+  PmiBuildOptions options = FastBuild();
+  options.sip.max_cut_embeddings = 1;  // every multi-embedding list truncates
+  auto pmi = ProbabilisticMatrixIndex::Build(db, options);
+  ASSERT_TRUE(pmi.ok());
+  const PmiStats& stats = pmi->stats();
+  EXPECT_GT(stats.fallback_cells, 0u);
+  EXPECT_EQ(stats.exact_cells + stats.fallback_cells, stats.num_entries);
+  ExpectOrderedBounds(*pmi);
+}
+
+TEST(PmiTest, BoundOnlyModeSurvivesSaveLoadAndAddGraph) {
+  const auto db = SmallDatabase(1223, 6);
+  PmiBuildOptions options = FastBuild();
+  options.bound_only_cells = true;
+  auto pmi = ProbabilisticMatrixIndex::Build(db, options);
+  ASSERT_TRUE(pmi.ok());
+  EXPECT_TRUE(pmi->bound_only_cells());
+  EXPECT_EQ(pmi->stats().exact_cells, 0u);
+  EXPECT_EQ(pmi->stats().fallback_cells, 0u);
+  const std::string path = ::testing::TempDir() + "/pgsim_pmi_bound_only.bin";
+  ASSERT_TRUE(pmi->Save(path).ok());
+  auto loaded = ProbabilisticMatrixIndex::Load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_TRUE(loaded->bound_only_cells());
+
+  // Both add the same sampled column; an exact-mode index adds exact cells.
+  const ProbabilisticGraph extra = SmallDatabase(1229, 1)[0];
+  auto a = pmi->AddGraph(extra, pmi->sip_options(), 5);
+  auto b = loaded->AddGraph(extra, loaded->sip_options(), 5);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const std::vector<PmiEntry> ca = pmi->EntriesFor(*a);
+  const std::vector<PmiEntry> cb = loaded->EntriesFor(*b);
+  ASSERT_EQ(ca.size(), cb.size());
+  ASSERT_FALSE(ca.empty());
+  for (size_t i = 0; i < ca.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&ca[i], &cb[i], sizeof(PmiEntry)), 0) << i;
+  }
+  EXPECT_EQ(loaded->stats().exact_cells, 0u);
+  auto exact = ProbabilisticMatrixIndex::Build(db, FastBuild());
+  ASSERT_TRUE(exact.ok());
+  const size_t before = exact->stats().exact_cells;
+  ASSERT_TRUE(exact->AddGraph(extra, exact->sip_options(), 5).ok());
+  EXPECT_EQ(exact->stats().exact_cells, before + ca.size());
+}
+
 TEST(PmiTest, BoundsSandwichExactSipWithinMcTolerance) {
   const auto db = SmallDatabase(1207, 6);
   PmiBuildOptions options = FastBuild();
+  options.bound_only_cells = true;  // the paper's sampled bounds
   options.sip.mc.max_samples = 20000;
   options.sip.mc.min_samples = 20000;
   auto pmi = ProbabilisticMatrixIndex::Build(db, options);

@@ -1,6 +1,7 @@
 // Tests for probabilistic pruning (Theorems 3-4): the Usim/Lsim bounds must
-// bracket the exact SSP (within Monte-Carlo slack on the PMI entries), and
-// pruning decisions must be consistent with exact answers.
+// bracket the exact SSP (within slack: Lsim's overlap term is not a true
+// bound), pruning decisions must be consistent with exact answers, and with
+// exact PMI cells Pruning 1 never prunes an answer.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "pgsim/graph/relaxation.h"
 #include "pgsim/index/pmi.h"
 #include "pgsim/query/prob_pruner.h"
+#include "pgsim/query/structural_filter.h"
 #include "pgsim/query/verifier.h"
 
 namespace pgsim {
@@ -18,7 +20,7 @@ struct Fixture {
   ProbabilisticMatrixIndex pmi;
 };
 
-Fixture MakeFixture(uint64_t seed) {
+Fixture MakeFixture(uint64_t seed, bool bound_only_cells = false) {
   SyntheticOptions options;
   options.num_graphs = 10;
   options.avg_vertices = 8;
@@ -34,6 +36,7 @@ Fixture MakeFixture(uint64_t seed) {
   build.miner.max_vertices = 3;
   build.sip.mc.min_samples = 8000;
   build.sip.mc.max_samples = 8000;
+  build.bound_only_cells = bound_only_cells;
   fx.pmi = ProbabilisticMatrixIndex::Build(fx.db, build).value();
   return fx;
 }
@@ -129,7 +132,9 @@ TEST(PrunerVariantTest, OptimizedUsimNoLooserThanRandom) {
 }
 
 TEST(PrunerVariantTest, SipVariantSelectsDifferentEntries) {
-  Fixture fx = MakeFixture(1427);
+  // The flavors differ only in sampled cells (exact cells store one value
+  // in both), so this uses the paper's bound-only PMI.
+  Fixture fx = MakeFixture(1427, /*bound_only_cells=*/true);
   ProbPrunerOptions opt_options;
   opt_options.sip_variant = SipVariant::kOpt;
   ProbPrunerOptions simple_options;
@@ -151,6 +156,74 @@ TEST(PrunerVariantTest, SipVariantSelectsDifferentEntries) {
   }
   EXPECT_LE(opt_total, simple_total + 1e-9);
 }
+
+// With exact cells, Usim (Pruning 1) sums SIP upper cells over a cover of U,
+// plus 1 per uncovered rq: a true upper bound of SSP, so a pruned structural
+// candidate can never be an answer. Pruning 2 is not asserted: its
+// (sum UpperB)^2 overlap term can undershoot the overlap of strongly
+// correlated features.
+class PruningOneSoundnessTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PruningOneSoundnessTest, PrunedCandidatesNeverReachEpsilon) {
+  SyntheticOptions data;
+  data.num_graphs = 12;
+  data.avg_vertices = 8;
+  data.edge_factor = 1.4;
+  data.num_vertex_labels = 4;
+  data.num_edge_labels = 2;
+  data.seed = GetParam();
+  const auto db = GenerateDatabase(data).value();
+  std::vector<Graph> certain;
+  for (const auto& g : db) certain.push_back(g.certain());
+  PmiBuildOptions build;
+  build.miner.alpha = 0.0;
+  build.miner.beta = 0.2;
+  build.miner.gamma = -1.0;
+  build.miner.max_vertices = 3;
+  const auto pmi = ProbabilisticMatrixIndex::Build(db, build).value();
+  ASSERT_EQ(pmi.stats().fallback_cells, 0u);
+  const auto filter = StructuralFilter::Build(certain, pmi.features());
+
+  Rng rng(GetParam() + 7);
+  size_t pruned = 0;
+  for (const BoundSelection selection :
+       {BoundSelection::kOptimized, BoundSelection::kRandom}) {
+    ProbPrunerOptions options;
+    options.selection = selection;
+    ProbabilisticPruner pruner(&pmi, options);
+    for (int trial = 0; trial < 4; ++trial) {
+      // 4-edge queries: their rqs are small enough that a feature can equal
+      // one, so Usim meets SSP exactly on some candidates.
+      auto q = ExtractQuery(certain[rng.Uniform(certain.size())], 4, &rng);
+      ASSERT_TRUE(q.ok());
+      for (const uint32_t delta : {1u, 2u}) {
+        auto relaxed = GenerateRelaxedQueries(*q, delta);
+        ASSERT_TRUE(relaxed.ok());
+        pruner.PrepareQuery(*relaxed);
+        for (const uint32_t gi : filter.Filter(*q, *relaxed, delta)) {
+          auto exact = ExactSubgraphSimilarityProbability(db[gi], *relaxed);
+          ASSERT_TRUE(exact.ok());
+          // Double rounding only: the cells themselves are rounded outward.
+          EXPECT_GE(pruner.Bounds(gi, &rng).usim, *exact - 1e-12)
+              << "graph " << gi << " delta " << delta << " trial " << trial;
+          for (const double epsilon : {0.3, 0.5}) {
+            if (pruner.Evaluate(gi, epsilon, &rng).outcome !=
+                PruneOutcome::kPruned) {
+              continue;
+            }
+            ++pruned;
+            EXPECT_LT(*exact, epsilon)
+                << "graph " << gi << " delta " << delta << " trial " << trial;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PruningOneSoundnessTest,
+                         ::testing::Values(1501ULL, 1503ULL, 1507ULL));
 
 }  // namespace
 }  // namespace pgsim

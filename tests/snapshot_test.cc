@@ -140,6 +140,81 @@ TEST(PmiSnapshotTest, BitFlipIsDataLoss) {
   std::remove(path.c_str());
 }
 
+TEST(PmiSnapshotTest, TrailerBitFlipSweepIsDataLoss) {
+  const auto db = SmallDatabase(9011, 4);
+  auto pmi = ProbabilisticMatrixIndex::Build(db, FastBuild()).value();
+  const std::string path = testing::TempDir() + "/pgsim_pmi_trailer.bin";
+  ASSERT_TRUE(pmi.Save(path).ok());
+  const std::string full = Slurp(path);
+  auto snap = SnapshotReader::Open(path, 0x504d4933u);
+  ASSERT_TRUE(snap.ok());
+  ASSERT_EQ(snap->num_sections(), 3u);
+  // The trailer section's frame and body (cell-mode byte last), then the
+  // footer: every single-byte flip there must be detected.
+  const size_t tail = 8 + snap->section(2).size() + 8;
+  ASSERT_LT(tail, full.size());
+  for (size_t i = full.size() - tail; i < full.size(); ++i) {
+    std::string bad = full;
+    bad[i] = static_cast<char>(bad[i] ^ 0x01);
+    Spit(path, bad);
+    auto loaded = ProbabilisticMatrixIndex::Load(path);
+    ASSERT_FALSE(loaded.ok()) << "flip at byte " << i << " loaded";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << i;
+  }
+  std::remove(path.c_str());
+}
+
+// PMI3 version 1 predates the trailer's cell-mode byte: such a file loads
+// as bound-only, so AddGraph keeps filling sampled cells.
+TEST(PmiSnapshotTest, Version1FileLoadsAsBoundOnly) {
+  const auto db = SmallDatabase(9013, 5);
+  auto pmi = ProbabilisticMatrixIndex::Build(db, FastBuild()).value();
+  ASSERT_FALSE(pmi.bound_only_cells());
+  const std::string path = testing::TempDir() + "/pgsim_pmi_v1.bin";
+  ASSERT_TRUE(pmi.Save(path).ok());
+  auto snap = SnapshotReader::Open(path, 0x504d4933u);
+  ASSERT_TRUE(snap.ok());
+  const std::string& trailer = snap->section(2);
+  ASSERT_EQ(trailer.back(), '\0');  // exact cells
+  SnapshotWriter v1(0x504d4933u, 1);
+  v1.AddSection(snap->section(0));
+  v1.AddSection(snap->section(1));
+  v1.AddSection(trailer.substr(0, trailer.size() - 1));
+  ASSERT_TRUE(v1.Commit(path, "snapshot.pmi").ok());
+
+  auto loaded = ProbabilisticMatrixIndex::Load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->bound_only_cells());
+  for (uint32_t gi = 0; gi < pmi.num_graphs(); ++gi) {
+    const auto a = pmi.EntriesFor(gi);
+    const auto b = loaded->EntriesFor(gi);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(a[k].lower_opt, b[k].lower_opt);
+      EXPECT_EQ(a[k].upper_opt, b[k].upper_opt);
+    }
+  }
+
+  PmiBuildOptions bound_only = FastBuild();
+  bound_only.bound_only_cells = true;
+  auto reference = ProbabilisticMatrixIndex::Build(db, bound_only).value();
+  const ProbabilisticGraph extra = SmallDatabase(9019, 1)[0];
+  auto a = loaded->AddGraph(extra, loaded->sip_options(), 3);
+  auto b = reference.AddGraph(extra, reference.sip_options(), 3);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const auto ca = loaded->EntriesFor(*a);
+  const auto cb = reference.EntriesFor(*b);
+  ASSERT_EQ(ca.size(), cb.size());
+  for (size_t k = 0; k < ca.size(); ++k) {
+    EXPECT_EQ(ca[k].lower_opt, cb[k].lower_opt);
+    EXPECT_EQ(ca[k].upper_opt, cb[k].upper_opt);
+    EXPECT_EQ(ca[k].lower_simple, cb[k].lower_simple);
+    EXPECT_EQ(ca[k].upper_simple, cb[k].upper_simple);
+  }
+  EXPECT_EQ(loaded->stats().exact_cells, 0u);
+}
+
 // Writes a legacy PMI2 file (flat stream: magic, counts, features, columns,
 // epoch/alive/beta/adds/removes trailer — no checksums) equivalent to
 // `pmi`'s state, byte-compatible with the pre-PMI3 Save.
@@ -190,6 +265,7 @@ TEST(PmiSnapshotTest, LegacyPmi2StillLoads) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->num_graphs(), pmi.num_graphs());
   EXPECT_EQ(loaded->epoch(), 5u);
+  EXPECT_TRUE(loaded->bound_only_cells());  // PMI2 predates exact cells
   EXPECT_FALSE(loaded->IsAlive(2));
   EXPECT_EQ(loaded->num_alive(), pmi.num_graphs() - 1);
   for (uint32_t gi = 0; gi < pmi.num_graphs(); ++gi) {
