@@ -520,16 +520,11 @@ void BM_Verifier_CollectEvents(benchmark::State& state) {
 BENCHMARK(BM_Verifier_CollectEvents);
 
 void BM_Verifier_SampleSsp(benchmark::State& state) {
-  // One iteration = stage 3 of one query: per-candidate RNGs pre-forked
-  // sequentially, candidates fanned across the pool with one scratch per
-  // rank. Identical SSP estimates at every thread count (ssp_sum pins it).
+  // One iteration = stage 3 of one query on one thread: per-candidate RNGs
+  // pre-forked sequentially, then every candidate sampled with one scratch
+  // (ssp_sum pins the estimates).
   const VerifierFixture& f = GetVerifierFixture();
-  const uint32_t threads = state.range(0) == 0
-                               ? ThreadPool::DefaultThreads()
-                               : static_cast<uint32_t>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  std::vector<VerifierScratch> scratches(threads);
+  VerifierScratch scratch;
   std::vector<Rng> rngs;
   std::vector<double> ssp(f.to_verify.size());
   double checksum = 0.0;
@@ -537,22 +532,10 @@ void BM_Verifier_SampleSsp(benchmark::State& state) {
     Rng base(49);
     rngs.clear();
     for (size_t k = 0; k < f.to_verify.size(); ++k) rngs.push_back(base.Fork());
-    auto verify_one = [&](size_t k, VerifierScratch* scratch) {
+    for (size_t k = 0; k < f.to_verify.size(); ++k) {
       auto r = SampleSubgraphSimilarityProbability(
-          f.db[f.to_verify[k]], f.relaxed, f.verifier, &rngs[k], scratch);
+          f.db[f.to_verify[k]], f.relaxed, f.verifier, &rngs[k], &scratch);
       ssp[k] = r.ok() ? *r : 0.0;
-    };
-    if (pool == nullptr) {
-      for (size_t k = 0; k < f.to_verify.size(); ++k) {
-        verify_one(k, &scratches[0]);
-      }
-    } else {
-      pool->ParallelFor(f.to_verify.size(), 1,
-                        [&](uint32_t rank, size_t begin, size_t end) {
-                          for (size_t k = begin; k < end; ++k) {
-                            verify_one(k, &scratches[rank]);
-                          }
-                        });
     }
     for (double s : ssp) checksum += s;
   }
@@ -562,9 +545,6 @@ void BM_Verifier_SampleSsp(benchmark::State& state) {
       checksum / std::max<int64_t>(1, state.iterations());
 }
 BENCHMARK(BM_Verifier_SampleSsp)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(0)  // 0 = all hardware threads
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -803,15 +783,13 @@ BENCHMARK(BM_QueryBatch_RelaxationCache)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// ---- Skewed batch (PR 6): mostly-cheap queries plus a few pathological  ----
-// ---- ones, under the chunked vs work-stealing batch schedulers. Small   ----
-// ---- queries are the expensive ones here — nearly every database graph  ----
-// ---- survives the structural filter, so each drags dozens of Karp-Luby  ----
-// ---- verifications behind it — and they sit adjacent at the front of    ----
-// ---- the batch, so under the chunked scheduler one worker's chunk       ----
-// ---- swallows all of them while the rest of the pool drains the cheap   ----
-// ---- tail and idles. The stealing scheduler splits the hot queries'     ----
-// ---- candidates across idle workers. Answers are bit-identical.         ----
+// ---- Skewed batch: mostly-cheap queries plus a few pathological ones on  ----
+// ---- the work-stealing task graph. Small queries are the expensive ones  ----
+// ---- here — nearly every database graph survives the structural filter, ----
+// ---- so each drags dozens of Karp-Luby verifications behind it — and    ----
+// ---- they sit adjacent at the front of the batch, where a whole-query    ----
+// ---- claim would leave one worker with all of them. The task graph       ----
+// ---- splits the hot queries' candidates across idle workers.            ----
 
 const std::vector<Graph>& GetSkewedQueries() {
   static const std::vector<Graph>* queries = [] {
@@ -844,9 +822,7 @@ void BM_QueryBatch_Skew(benchmark::State& state) {
   options.verifier.mc.min_samples = 1000;
   options.verifier.mc.max_samples = 1000;
   BatchOptions batch;
-  batch.scheduler = state.range(0) != 0 ? BatchOptions::Scheduler::kStealing
-                                        : BatchOptions::Scheduler::kChunked;
-  batch.num_threads = static_cast<uint32_t>(state.range(1));
+  batch.num_threads = static_cast<uint32_t>(state.range(0));
   size_t answers = 0;
   size_t stolen = 0;
   for (auto _ : state) {
@@ -862,12 +838,9 @@ void BM_QueryBatch_Skew(benchmark::State& state) {
   state.counters["stolen"] = static_cast<double>(stolen);
 }
 BENCHMARK(BM_QueryBatch_Skew)
-    ->Args({0, 1})  // chunked, 1 thread
-    ->Args({0, 4})  // chunked, 4 threads
-    ->Args({0, 0})  // chunked, all hardware threads
-    ->Args({1, 1})  // stealing, 1 thread
-    ->Args({1, 4})  // stealing, 4 threads
-    ->Args({1, 0})  // stealing, all hardware threads
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(0)  // 0 = all hardware threads
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

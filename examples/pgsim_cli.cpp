@@ -4,12 +4,14 @@
 //   pgsim_cli generate --out=db.txt [--graphs=N] [--vertices=N] [--seed=N]
 //   pgsim_cli index    --db=db.txt --out=index.pmi [--build-threads=N]
 //   pgsim_cli query    --db=db.txt --queries=q.txt [--index=index.pmi]
-//                      [--delta=N] [--epsilon=F] [--threads=N] [--chunk=N]
-//                      [--scheduler=stealing|chunked] [--task-grain=N]
-//                      [--build-threads=N] [--cache=0|1] [--verify-threads=N]
+//                      [--delta=N] [--epsilon=F] [--threads=N]
+//                      [--build-threads=N] [--cache=0|1]
 //                      [--answer-cache[=CAP]] [--repeat=N] [--mutate-every=N]
 //                      [--wal-dir=DIR] [--snapshot-every=N]
 //                      [--signatures=on|off]
+//
+// Every subcommand rejects a --flag it does not read (usage, exit 2), so a
+// typo or a removed flag never runs silently with defaults.
 //
 // --signatures toggles the neighborhood-signature gate (default on): barren
 // (rq, candidate) pairs are rejected before VF2 and survivors run over
@@ -33,16 +35,11 @@
 // and the reported answer counts stay identical — the live-maintenance
 // round-trip guarantee.
 //
-// --scheduler picks how the batch is distributed across --threads workers:
-// "stealing" (default) decomposes each query into a front-stages task plus
-// per-candidate verification tasks on a work-stealing scheduler (skewed
-// batches keep every worker busy); "chunked" is the plain parallel-for that
-// claims --chunk whole queries at a time. Answers are bit-identical either
-// way. --task-grain sets verification candidates per stealing task.
-//
-// --verify-threads fans each query's verification candidates across a pool
-// (0 = all hardware threads; answers are byte-identical at any setting). It
-// multiplies with --threads, so raise one or the other, not both.
+// --threads sets the width of the work-stealing scheduler the batch runs on
+// (1 = inline): each query is a front-stages task plus one verification
+// task per candidate, so skewed batches keep every worker busy and a single
+// query's candidates spread over the workers. Answers are bit-identical at
+// any width.
 //
 // --build-threads parallelizes the offline phase (feature mining, PMI bound
 // columns, structural-filter counts) on a thread pool; 0 (default) uses all
@@ -71,8 +68,10 @@
 //   pgsim_cli sample-queries --db=db.txt --out=q.txt [--count=N] [--size=N]
 //   pgsim_cli stats    --db=db.txt
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
 
@@ -124,6 +123,24 @@ bool FlagPresent(int argc, char** argv, const char* key) {
   return false;
 }
 
+// True when every --flag in argv[2..] is one of `known` (bare or =VALUE);
+// otherwise names the first stranger on stderr.
+bool KnownFlags(int argc, char** argv,
+                std::initializer_list<const char*> known) {
+  for (int i = 2; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--", 2) != 0) continue;
+    const char* eq = std::strchr(arg, '=');
+    const std::string name =
+        eq == nullptr ? std::string(arg + 2) : std::string(arg + 2, eq);
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "%s: unknown flag %s\n", argv[1], arg);
+      return false;
+    }
+  }
+  return true;
+}
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -147,6 +164,10 @@ LabelTable GeneratorLabels(uint32_t num_labels) {
 }
 
 int CmdGenerate(int argc, char** argv) {
+  if (!KnownFlags(argc, argv,
+                  {"out", "graphs", "vertices", "labels", "seed"})) {
+    return Usage();
+  }
   const std::string out = FlagStr(argc, argv, "out", "pgsim_db.txt");
   SyntheticOptions options;
   options.num_graphs = FlagInt(argc, argv, "graphs", 100);
@@ -164,6 +185,9 @@ int CmdGenerate(int argc, char** argv) {
 }
 
 int CmdSampleQueries(int argc, char** argv) {
+  if (!KnownFlags(argc, argv, {"db", "out", "size", "count", "seed"})) {
+    return Usage();
+  }
   const std::string db_path = FlagStr(argc, argv, "db", "pgsim_db.txt");
   const std::string out = FlagStr(argc, argv, "out", "pgsim_queries.txt");
   auto db = LoadDatabaseText(db_path);
@@ -186,6 +210,10 @@ uint32_t BuildThreadsFlag(int argc, char** argv) {
 }
 
 int CmdIndex(int argc, char** argv) {
+  if (!KnownFlags(argc, argv,
+                  {"db", "out", "beta", "gamma", "maxL", "build-threads"})) {
+    return Usage();
+  }
   const std::string db_path = FlagStr(argc, argv, "db", "pgsim_db.txt");
   const std::string out = FlagStr(argc, argv, "out", "pgsim_index.pmi");
   auto db = LoadDatabaseText(db_path);
@@ -261,15 +289,18 @@ bool FileExists(const std::string& path) {
 }
 
 int CmdQuery(int argc, char** argv) {
+  if (!KnownFlags(argc, argv,
+                  {"db", "queries", "index", "build-threads", "delta",
+                   "epsilon", "signatures", "threads", "cache", "answer-cache",
+                   "repeat", "mutate-every", "wal-dir", "snapshot-every"})) {
+    return Usage();
+  }
   const std::string wal_dir = FlagStr(argc, argv, "wal-dir", "");
   auto setup = LoadSetup(argc, argv, /*need_index=*/wal_dir.empty());
   if (!setup.ok()) return Fail(setup.status());
   QueryOptions options;
   options.delta = FlagInt(argc, argv, "delta", 1);
   options.epsilon = FlagDouble(argc, argv, "epsilon", 0.5);
-  const int64_t verify_threads = FlagInt(argc, argv, "verify-threads", 1);
-  options.verify_threads =
-      verify_threads < 0 ? 1 : static_cast<uint32_t>(verify_threads);
   const std::string signatures = FlagStr(argc, argv, "signatures", "on");
   if (signatures == "on") {
     options.use_signatures = true;
@@ -283,22 +314,8 @@ int CmdQuery(int argc, char** argv) {
   BatchOptions batch;
   // Clamp: negative flag values would wrap through the uint32 fields.
   const int64_t threads = FlagInt(argc, argv, "threads", 1);
-  const int64_t chunk = FlagInt(argc, argv, "chunk", 4);
   batch.num_threads = threads < 0 ? 1 : static_cast<uint32_t>(threads);
-  batch.chunk_size = chunk < 1 ? 1 : static_cast<uint32_t>(chunk);
   batch.enable_cache = FlagInt(argc, argv, "cache", 1) != 0;
-  const std::string scheduler = FlagStr(argc, argv, "scheduler", "stealing");
-  if (scheduler == "chunked") {
-    batch.scheduler = BatchOptions::Scheduler::kChunked;
-  } else if (scheduler == "stealing") {
-    batch.scheduler = BatchOptions::Scheduler::kStealing;
-  } else {
-    std::fprintf(stderr, "unknown --scheduler=%s (chunked|stealing)\n",
-                 scheduler.c_str());
-    return 2;
-  }
-  const int64_t task_grain = FlagInt(argc, argv, "task-grain", 1);
-  batch.task_grain = task_grain < 1 ? 1 : static_cast<uint32_t>(task_grain);
 
   // Cross-batch answer cache + live-mutation churn knobs.
   const bool answer_cache_on = FlagPresent(argc, argv, "answer-cache");
@@ -406,10 +423,9 @@ int CmdQuery(int argc, char** argv) {
     if (batch_stats.tasks_executed > 0) {
       std::printf(
           "scheduler: %zu tasks (%zu stolen, %zu steal probes), queue depth "
-          "%zu, %zu overlapped verify tasks, %.1f ms summed queue wait\n",
+          "%zu, %.1f ms summed queue wait\n",
           batch_stats.tasks_executed, batch_stats.tasks_stolen,
           batch_stats.steal_attempts, batch_stats.max_queue_depth,
-          batch_stats.overlapped_verify_tasks,
           batch_stats.sum_queue_wait_seconds * 1e3);
     }
     if (batch.enable_cache) {
@@ -456,6 +472,13 @@ int CmdQuery(int argc, char** argv) {
 // bounded priority admission queue and resolves to a ticket, with optional
 // deadlines, anytime degradation, and mutation interleaving.
 int CmdServe(int argc, char** argv) {
+  if (!KnownFlags(argc, argv,
+                  {"db", "queries", "index", "build-threads", "serve",
+                   "threads", "max-queue", "delta", "epsilon", "signatures",
+                   "answer-cache", "deadline-ms", "priority", "allow-degraded",
+                   "cancel-after-draws", "repeat", "mutate-every"})) {
+    return Usage();
+  }
   auto setup = LoadSetup(argc, argv);
   if (!setup.ok()) return Fail(setup.status());
 
@@ -592,6 +615,10 @@ int CmdServe(int argc, char** argv) {
 }
 
 int CmdTopK(int argc, char** argv) {
+  if (!KnownFlags(argc, argv,
+                  {"db", "queries", "index", "build-threads", "delta", "k"})) {
+    return Usage();
+  }
   auto setup = LoadSetup(argc, argv);
   if (!setup.ok()) return Fail(setup.status());
   TopKOptions options;
@@ -616,6 +643,7 @@ int CmdTopK(int argc, char** argv) {
 }
 
 int CmdStats(int argc, char** argv) {
+  if (!KnownFlags(argc, argv, {"db"})) return Usage();
   auto db = LoadDatabaseText(FlagStr(argc, argv, "db", "pgsim_db.txt"));
   if (!db.ok()) return Fail(db.status());
   const DatabaseStats stats = ComputeDatabaseStats(db->graphs);

@@ -48,8 +48,7 @@
 // materialized from / rebuilt into the columnar storage. Save() writes the
 // checksummed PMI3 container (per-section CRC32C + whole-file footer,
 // atomic temp+rename install); Load() verifies every checksum — corruption
-// is Status::DataLoss, never a silently wrong index — and still accepts the
-// legacy "PMI2" and pre-epoch "PMI1" stream formats.
+// is Status::DataLoss, never a silently wrong index.
 
 #pragma once
 
@@ -210,8 +209,7 @@ class ProbabilisticMatrixIndex {
 
   /// SIP-bound options remembered from Build() and reused by AddGraph when
   /// the caller passes none. PMI3 files persist them, so Load() restores the
-  /// build-time knobs; only legacy PMI1/PMI2 loads reset them to defaults
-  /// (those callers should re-set them before mutating).
+  /// build-time knobs.
   const SipBoundOptions& sip_options() const { return sip_options_; }
   void set_sip_options(const SipBoundOptions& sip) { sip_options_ = sip; }
 
@@ -234,10 +232,10 @@ class ProbabilisticMatrixIndex {
   /// byte-identical files.
   Status Save(const std::string& path) const;
 
-  /// Restores an index saved by Save(); also accepts legacy PMI2 and
-  /// pre-epoch PMI1 files. Any torn, truncated, or bit-flipped PMI3 file is
-  /// rejected with Status::DataLoss (checksums are verified before any
-  /// section is parsed).
+  /// Restores an index saved by Save() (PMI3 version 1 or 2). A file with
+  /// any other magic is rejected with Status::InvalidArgument; any torn,
+  /// truncated, or bit-flipped PMI3 file with Status::DataLoss (checksums
+  /// are verified before any section is parsed).
   static Result<ProbabilisticMatrixIndex> Load(const std::string& path);
 
   /// Incremental maintenance: appends a new graph column in place —

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "pgsim/common/fingerprint.h"
-#include "pgsim/common/task_scheduler.h"
 #include "pgsim/query/batch_cache.h"
 
 namespace pgsim {
@@ -231,10 +230,9 @@ void QueryProcessor::CompactLocked() {
 }
 
 // ---------------------------------------------------------------------------
-// Decomposed pipeline stages. Sequential Query(), the chunked batch path
-// (through Query()) and the stealing batch path all execute exactly these —
-// one code path for the order-sensitive work is what keeps answers
-// bit-identical across schedulers.
+// Decomposed pipeline stages. Sequential Query() and the task graph both
+// execute exactly these — one code path for the order-sensitive work is what
+// keeps answers bit-identical at every width.
 // ---------------------------------------------------------------------------
 
 Status QueryProcessor::FrontStagesImpl(const Graph& q,
@@ -256,14 +254,12 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
 
   // ---- Cross-batch answer cache probe (see answer_cache.h). ----
   // A hit returns the whole answer set computed under this exact epoch +
-  // options fingerprint; every stage below is skipped. The wiring is copied
-  // into the job so FinishQuery can fill the slot after a miss.
-  if (ctx->answer_cache != nullptr && ctx->answer_fingerprint != nullptr) {
+  // options fingerprint; every stage below is skipped. The probe stays on
+  // the job so FinishQuery can fill the slot after a miss.
+  if (job->answer_cache != nullptr && job->answer_fingerprint != nullptr) {
     WallTimer cache_timer;
-    job->answer_cache = ctx->answer_cache;
-    job->answer_epoch = ctx->answer_epoch;
-    job->answer_probe =
-        ctx->answer_cache->Find(q, *ctx->answer_fingerprint, ctx->answer_epoch);
+    job->answer_probe = job->answer_cache->Find(q, *job->answer_fingerprint,
+                                                job->answer_epoch);
     local.cache_seconds += cache_timer.Seconds();
     if (job->answer_probe.hit) {
       job->answers = *job->answer_probe.answers;
@@ -287,10 +283,11 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
   if (cancelled_now()) return Status::OK();
 
   // ---- Batch cache probe (canonical + exact keys). ----
+  BatchQueryCache* cache = job->cache;
   BatchQueryCache::Lookup cached;
-  if (ctx->cache != nullptr) {
+  if (cache != nullptr) {
     WallTimer cache_timer;
-    cached = ctx->cache->Find(q);
+    cached = cache->Find(q);
     local.cache_seconds += cache_timer.Seconds();
   }
 
@@ -310,7 +307,7 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
                                                    generated.get()));
     job->relaxed_hold = std::move(generated);
     job->relaxed = job->relaxed_hold.get();
-    ctx->cache->StoreRelaxed(cached, job->relaxed_hold);
+    cache->StoreRelaxed(cached, job->relaxed_hold);
   } else {
     PGSIM_RETURN_NOT_OK(GenerateRelaxedQueriesInto(q, options.delta,
                                                    options.relax,
@@ -344,7 +341,7 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
           std::move(job->plans_storage));
       job->plans_storage.clear();
       job->rq_plans = job->plans_hold.get();
-      ctx->cache->StorePlans(cached, job->plans_hold);
+      cache->StorePlans(cached, job->plans_hold);
     } else {
       job->rq_plans = &job->plans_storage;
     }
@@ -371,7 +368,7 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
             std::move(job->sigs_storage));
         job->sigs_storage.clear();
         job->rq_sigs = job->sigs_hold.get();
-        ctx->cache->StoreSigs(cached, job->sigs_hold);
+        cache->StoreSigs(cached, job->sigs_hold);
       } else {
         job->rq_sigs = &job->sigs_storage;
       }
@@ -394,7 +391,7 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
                         job->rq_sigs != nullptr ? sigs_ : nullptr,
                         job->rq_sigs);
     if (computed != nullptr) {
-      ctx->cache->StoreCounts(cached, std::move(computed));
+      cache->StoreCounts(cached, std::move(computed));
     }
     // The exact check's signature rejections are whole VF2 calls avoided.
     local.sig_pairs_rejected += local.structural_detail.sig_pairs_rejected;
@@ -422,7 +419,7 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
     } else {
       pruner.PrepareQuery(relaxed, job->rq_plans);
       if (cached.cacheable) {
-        ctx->cache->StorePrepared(cached, pruner.SharePrepared());
+        cache->StorePrepared(cached, pruner.SharePrepared());
       }
     }
     for (size_t ci = 0; ci < sc_q.size(); ++ci) {
@@ -469,16 +466,11 @@ Status QueryProcessor::FrontStagesImpl(const Graph& q,
   return Status::OK();
 }
 
-void QueryProcessor::RunFrontStages(const Graph& q,
-                                    const QueryOptions& options,
+void QueryProcessor::RunFrontStages(const QueryOptions& options,
                                     QueryContext* ctx, QueryJob* job) const {
-  job->Clear();
-  job->query = &q;
-  job->cancel = ctx->cancel;
-  job->cancel_after_draws = ctx->cancel_after_draws;
   job->total_timer.Restart();
   ctx->Reset(options.seed);
-  job->status = FrontStagesImpl(q, options, ctx, job);
+  job->status = FrontStagesImpl(*job->query, options, ctx, job);
   job->verify_timer.Restart();
 }
 
@@ -591,10 +583,9 @@ void QueryProcessor::FinishQuery(QueryJob* job) const {
 }
 
 // ---------------------------------------------------------------------------
-// Sequential entry points. The public overloads take the serving lock shared
-// (so mutations wait for them and vice versa); QueryImpl is the lock-free
-// body the batch schedulers call under the batch-held shared lock — a worker
-// re-acquiring the same shared_mutex would be UB.
+// Sequential entry points: the three stage functions inline on the calling
+// thread, under the shared serving lock (so mutations wait for them and vice
+// versa).
 // ---------------------------------------------------------------------------
 
 Result<std::vector<uint32_t>> QueryProcessor::Query(
@@ -607,254 +598,81 @@ Result<std::vector<uint32_t>> QueryProcessor::Query(
     const Graph& q, const QueryOptions& options, QueryContext* ctx,
     QueryStats* stats) const {
   std::shared_lock<std::shared_mutex> lock(live_mu_);
-  return QueryImpl(q, options, ctx, stats);
-}
-
-Result<std::vector<uint32_t>> QueryProcessor::QueryImpl(
-    const Graph& q, const QueryOptions& options, QueryContext* ctx,
-    QueryStats* stats) const {
   QueryJob& job = ctx->job;
-  RunFrontStages(q, options, ctx, &job);
+  job.Clear();
+  job.query = &q;
+  RunFrontStages(options, ctx, &job);
   if (!job.status.ok()) return job.status;
-
   // ---- Stage 3: verification (Section 5). ----
-  // Candidates verify independently against pre-forked RNGs and per-rank
-  // scratch; verdicts merge in candidate order (FinishQuery). Answers are
-  // therefore byte-identical at every verify_threads setting.
-  const size_t n = job.to_verify.size();
-  const uint32_t verify_threads = options.verify_threads == 0
-                                      ? ThreadPool::DefaultThreads()
-                                      : options.verify_threads;
-  ThreadPool* verify_pool = n > 1 ? ctx->VerifyPool(verify_threads) : nullptr;
-  if (verify_pool == nullptr) {
-    for (size_t k = 0; k < n; ++k) {
-      VerifyCandidate(options, &job, k, &ctx->verifier_scratch);
-    }
-  } else {
-    ctx->verify_scratches.resize(verify_pool->size());
-    verify_pool->ParallelFor(n, /*chunk=*/1,
-                             [&](uint32_t rank, size_t begin, size_t end) {
-                               for (size_t k = begin; k < end; ++k) {
-                                 VerifyCandidate(options, &job, k,
-                                                 &ctx->verify_scratches[rank]);
-                               }
-                             });
+  for (size_t k = 0; k < job.to_verify.size(); ++k) {
+    VerifyCandidate(options, &job, k, &ctx->verifier_scratch);
   }
-
   FinishQuery(&job);
   if (stats != nullptr) *stats = job.stats;
   return job.answers;
 }
 
 // ---------------------------------------------------------------------------
-// Stealing batch runner: one query -> a front-stages root task + ceil(n /
-// task_grain) verification tasks. The root runs stages 0-2 on whichever
-// worker claims it, then spawns the verification range tasks onto that
-// worker's own deque (newest-first, so the spawning worker proceeds with
-// warm caches while idle workers steal from the other end). The last
-// verification task to finish — whoever executes it — merges verdicts and
-// publishes the result slot.
+// The task graph (QueryNode): a front task per query, then one verification
+// task per candidate, spawned onto the front task's worker (newest-first, so
+// that worker proceeds with warm caches while idle workers steal from the
+// other end). The last task to finish — whoever executes it — merges
+// verdicts and runs the node's completion hook. The caller holds the shared
+// serving lock around the scheduler run, so tasks never take it.
 // ---------------------------------------------------------------------------
 
-struct StealingBatchRunner {
-  struct Job {
-    QueryJob job;
-    std::atomic<uint32_t> remaining{0};  ///< outstanding verification tasks
-    StealingBatchRunner* run = nullptr;
-    uint32_t qi = 0;
-  };
-
-  explicit StealingBatchRunner(size_t num_queries) : jobs(num_queries) {}
-
-  static void QueryTask(void* ctx, uint32_t worker, uint32_t /*a*/,
-                        uint32_t /*b*/) {
-    Job* j = static_cast<Job*>(ctx);
-    StealingBatchRunner* run = j->run;
-    QueryContext* qctx = run->sched->WorkerState<QueryContext>(worker);
-    qctx->cache = run->cache;
-    qctx->answer_cache = run->answer_cache;
-    qctx->answer_fingerprint = run->answer_fp;
-    qctx->answer_epoch = run->answer_epoch;
-    const double queue_wait = run->batch_timer->Seconds();
-    run->front_inflight.fetch_add(1, std::memory_order_relaxed);
-    run->proc->RunFrontStages((*run->queries)[j->qi], *run->options, qctx,
-                              &j->job);
-    run->front_inflight.fetch_sub(1, std::memory_order_relaxed);
-    j->job.stats.queue_wait_seconds = queue_wait;
-
-    const size_t n = j->job.to_verify.size();
-    if (!j->job.status.ok() || n == 0) {
-      run->Finish(j);
-      return;
-    }
-    const size_t grain = run->task_grain == 0 ? 1 : run->task_grain;
-    const size_t num_tasks = (n + grain - 1) / grain;
-    j->remaining.store(static_cast<uint32_t>(num_tasks),
-                       std::memory_order_relaxed);
-    // Reverse spawn order: the owner pops its deque LIFO, so candidate 0's
-    // range runs next on this worker while thieves steal from the tail.
-    for (size_t t = num_tasks; t-- > 0;) {
-      TaskScheduler::Task task;
-      task.fn = &VerifyTask;
-      task.ctx = j;
-      task.a = static_cast<uint32_t>(t * grain);
-      task.b = static_cast<uint32_t>(std::min(n, (t + 1) * grain));
-      run->sched->Spawn(worker, task);
-    }
-  }
-
-  static void VerifyTask(void* ctx, uint32_t worker, uint32_t a, uint32_t b) {
-    Job* j = static_cast<Job*>(ctx);
-    StealingBatchRunner* run = j->run;
-    if (run->front_inflight.load(std::memory_order_relaxed) > 0) {
-      // Stage-level pipelining observed: some other query is still in its
-      // front stages while this verification unit runs.
-      run->overlapped_verify.fetch_add(1, std::memory_order_relaxed);
-    }
-    QueryContext* qctx = run->sched->WorkerState<QueryContext>(worker);
-    for (uint32_t k = a; k < b; ++k) {
-      run->proc->VerifyCandidate(*run->options, &j->job, k,
-                                 &qctx->verifier_scratch);
-    }
-    // acq_rel: the last finisher must observe every other task's verdict
-    // writes before merging.
-    if (j->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      run->Finish(j);
-    }
-  }
-
-  void Finish(Job* j) {
-    proc->FinishQuery(&j->job);
-    BatchQueryResult& slot = (*results)[j->qi];
-    if (j->job.status.ok()) {
-      slot.stats = j->job.stats;
-      slot.answers = std::move(j->job.answers);
-    } else {
-      slot.status = j->job.status;
-    }
-  }
-
-  const QueryProcessor* proc = nullptr;
-  const std::vector<Graph>* queries = nullptr;
-  const QueryOptions* options = nullptr;
-  std::vector<BatchQueryResult>* results = nullptr;
-  BatchQueryCache* cache = nullptr;
-  AnswerCache* answer_cache = nullptr;
-  const std::string* answer_fp = nullptr;
-  uint64_t answer_epoch = 0;
-  TaskScheduler* sched = nullptr;
-  size_t task_grain = 1;
-  const WallTimer* batch_timer = nullptr;
-  std::vector<Job> jobs;
-  std::atomic<uint32_t> front_inflight{0};
-  std::atomic<uint64_t> overlapped_verify{0};
-};
-
-std::vector<BatchQueryResult> QueryProcessor::QueryBatchStealing(
-    const std::vector<Graph>& queries, const QueryOptions& options,
-    const BatchOptions& batch, BatchQueryCache* cache,
-    const AnswerCacheWiring& answers, uint32_t num_threads,
-    const WallTimer& batch_timer, uint32_t* threads_used,
-    BatchStats* batch_stats) const {
-  std::unique_ptr<TaskScheduler> owned;
-  TaskScheduler* sched = batch.stealer;
-  if (sched == nullptr) {
-    owned = batch.pool != nullptr
-                ? std::make_unique<TaskScheduler>(batch.pool)
-                : std::make_unique<TaskScheduler>(num_threads);
-    sched = owned.get();
-  }
-  *threads_used = sched->num_workers();
-
-  std::vector<BatchQueryResult> results(queries.size());
-  StealingBatchRunner run(queries.size());
-  run.proc = this;
-  run.queries = &queries;
-  run.options = &options;
-  run.results = &results;
-  run.cache = cache;
-  run.answer_cache = answers.cache;
-  run.answer_fp = answers.fingerprint;
-  run.answer_epoch = answers.epoch;
-  run.sched = sched;
-  run.task_grain = batch.task_grain;
-  run.batch_timer = &batch_timer;
-
-  std::vector<TaskScheduler::Task> roots(queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    run.jobs[qi].run = &run;
-    run.jobs[qi].qi = static_cast<uint32_t>(qi);
-    roots[qi].fn = &StealingBatchRunner::QueryTask;
-    roots[qi].ctx = &run.jobs[qi];
-  }
-  const SchedulerRunStats sched_stats = sched->Run(roots, /*root_chunk=*/1);
-
-  if (batch_stats != nullptr) {
-    batch_stats->tasks_executed = sched_stats.tasks_executed;
-    batch_stats->tasks_stolen = sched_stats.tasks_stolen;
-    batch_stats->steal_attempts = sched_stats.steal_attempts;
-    batch_stats->max_queue_depth = sched_stats.max_queue_depth;
-    batch_stats->overlapped_verify_tasks =
-        run.overlapped_verify.load(std::memory_order_relaxed);
-  }
-  return results;
+TaskScheduler::Task QueryProcessor::FrontTask(QueryNode* node) const {
+  node->proc = this;
+  TaskScheduler::Task task;
+  task.fn = &QueryProcessor::RunFrontTask;
+  task.ctx = node;
+  return task;
 }
 
-// ---------------------------------------------------------------------------
-// Chunked batch runner (the original parallel-for path).
-// ---------------------------------------------------------------------------
+void QueryProcessor::RunFrontTask(void* ctx, uint32_t worker, uint32_t,
+                                  uint32_t) {
+  QueryNode* node = static_cast<QueryNode*>(ctx);
+  QueryJob& job = node->job;
+  const double queue_wait =
+      node->admitted != nullptr ? node->admitted->Seconds() : 0.0;
+  node->proc->RunFrontStages(*node->options,
+                             node->sched->WorkerState<QueryContext>(worker),
+                             &job);
+  job.stats.queue_wait_seconds = queue_wait;
 
-std::vector<BatchQueryResult> QueryProcessor::QueryBatchChunked(
-    const std::vector<Graph>& queries, const QueryOptions& options,
-    const BatchOptions& batch, BatchQueryCache* cache,
-    const AnswerCacheWiring& answers, uint32_t num_threads,
-    uint32_t* threads_used) const {
-  std::vector<BatchQueryResult> results(queries.size());
-
-  const auto wire = [&](QueryContext* ctx) {
-    ctx->cache = cache;
-    ctx->answer_cache = answers.cache;
-    ctx->answer_fingerprint = answers.fingerprint;
-    ctx->answer_epoch = answers.epoch;
-  };
-
-  // Each slot is written by exactly one worker; each worker reruns the
-  // pipeline from options.seed, so answers match sequential Query exactly.
-  // QueryImpl, not Query: the batch already holds the serving lock.
-  auto run_one = [&](QueryContext* ctx, size_t qi) {
-    BatchQueryResult& slot = results[qi];
-    auto query_answers = QueryImpl(queries[qi], options, ctx, &slot.stats);
-    if (query_answers.ok()) {
-      slot.answers = std::move(query_answers).value();
-    } else {
-      slot.status = query_answers.status();
-    }
-  };
-
-  *threads_used = num_threads;
-  if (batch.pool == nullptr && (num_threads <= 1 || queries.size() <= 1)) {
-    *threads_used = 1;
-    QueryContext ctx;
-    wire(&ctx);
-    for (size_t qi = 0; qi < queries.size(); ++qi) run_one(&ctx, qi);
-  } else {
-    // Use the caller's pool when provided; otherwise spawn a transient one.
-    std::unique_ptr<ThreadPool> owned;
-    ThreadPool* pool = batch.pool;
-    if (pool == nullptr) {
-      owned = std::make_unique<ThreadPool>(num_threads);
-      pool = owned.get();
-    }
-    std::vector<QueryContext> contexts(pool->size());
-    for (QueryContext& ctx : contexts) wire(&ctx);
-    pool->ParallelFor(queries.size(), batch.chunk_size,
-                      [&](uint32_t rank, size_t begin, size_t end) {
-                        for (size_t qi = begin; qi < end; ++qi) {
-                          run_one(&contexts[rank], qi);
-                        }
-                      });
+  const size_t n = job.to_verify.size();
+  if (!job.status.ok() || n == 0) {
+    FinishNode(node);
+    return;
   }
-  return results;
+  node->remaining.store(static_cast<uint32_t>(n), std::memory_order_relaxed);
+  // Reverse spawn order: the owner pops its deque LIFO, so candidate 0 runs
+  // next on this worker while thieves steal from the tail.
+  for (size_t k = n; k-- > 0;) {
+    TaskScheduler::Task task;
+    task.fn = &QueryProcessor::RunVerifyTask;
+    task.ctx = node;
+    task.a = static_cast<uint32_t>(k);
+    node->sched->Spawn(worker, task);
+  }
+}
+
+void QueryProcessor::RunVerifyTask(void* ctx, uint32_t worker, uint32_t k,
+                                   uint32_t) {
+  QueryNode* node = static_cast<QueryNode*>(ctx);
+  node->proc->VerifyCandidate(
+      *node->options, &node->job, k,
+      &node->sched->WorkerState<QueryContext>(worker)->verifier_scratch);
+  // acq_rel: the last finisher must observe every other task's verdict and
+  // interval writes before merging.
+  if (node->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    FinishNode(node);
+  }
+}
+
+void QueryProcessor::FinishNode(QueryNode* node) {
+  node->proc->FinishQuery(&node->job);
+  node->done(node);  // may free the node
 }
 
 std::vector<BatchQueryResult> QueryProcessor::QueryBatch(
@@ -865,55 +683,68 @@ std::vector<BatchQueryResult> QueryProcessor::QueryBatch(
   // frozen index state (and the same epoch), and a mutation either waits for
   // the batch or the batch sees it completely.
   std::shared_lock<std::shared_mutex> serving_lock(live_mu_);
-  const uint32_t num_threads =
-      ThreadPool::ResolveThreads(batch.num_threads, batch.pool);
 
   // One artifact cache for the whole batch (see batch_cache.h): workers
   // share relaxation sets and feature counts; answers stay bit-identical.
   std::unique_ptr<BatchQueryCache> cache;
   if (batch.enable_cache) cache = std::make_unique<BatchQueryCache>();
 
-  // Cross-batch answer cache wiring: fingerprint once per batch, epoch read
-  // under the serving lock above (it cannot move until the batch finishes).
-  AnswerCacheWiring answers;
+  // Cross-batch answer cache: fingerprint once per batch, epoch read under
+  // the serving lock above (it cannot move until the batch finishes).
   std::string answer_fingerprint;
   AnswerCacheStats answer_before;
   if (batch.answer_cache != nullptr) {
     answer_fingerprint = QueryOptionsFingerprint(options);
-    answers.cache = batch.answer_cache;
-    answers.fingerprint = &answer_fingerprint;
-    answers.epoch = epoch();
     answer_before = batch.answer_cache->stats();
   }
 
-  // The stealing scheduler needs either an execution vehicle worth sharing
-  // (a caller scheduler/pool) or genuine batch parallelism; a 1-thread,
-  // no-pool batch runs the plain inline chunked path — answers are
-  // bit-identical either way, so this is purely an overhead call.
-  const bool use_stealing =
-      batch.scheduler == BatchOptions::Scheduler::kStealing &&
-      (batch.stealer != nullptr || batch.pool != nullptr ||
-       (num_threads > 1 && queries.size() > 1));
+  std::unique_ptr<TaskScheduler> owned;
+  TaskScheduler* sched = batch.stealer;
+  if (sched == nullptr) {
+    owned = std::make_unique<TaskScheduler>(batch.num_threads);
+    sched = owned.get();
+  }
 
-  uint32_t threads_used = num_threads;
-  BatchStats sched_counters;
-  std::vector<BatchQueryResult> results =
-      use_stealing
-          ? QueryBatchStealing(queries, options, batch, cache.get(), answers,
-                               num_threads, wall_timer, &threads_used,
-                               &sched_counters)
-          : QueryBatchChunked(queries, options, batch, cache.get(), answers,
-                              num_threads, &threads_used);
+  // Each node writes its own result slot when its query completes.
+  struct BatchNode : QueryNode {
+    BatchQueryResult* slot = nullptr;
+  };
+  std::vector<BatchQueryResult> results(queries.size());
+  std::vector<BatchNode> nodes(queries.size());
+  std::vector<TaskScheduler::Task> roots(queries.size());
+  const uint64_t answer_epoch = epoch();
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    BatchNode& node = nodes[qi];
+    node.job.query = &queries[qi];
+    node.job.cache = cache.get();
+    node.job.answer_cache = batch.answer_cache;
+    node.job.answer_fingerprint = &answer_fingerprint;
+    node.job.answer_epoch = answer_epoch;
+    node.options = &options;
+    node.sched = sched;
+    node.admitted = &wall_timer;
+    node.slot = &results[qi];
+    node.done = [](QueryNode* n) {
+      BatchNode* b = static_cast<BatchNode*>(n);
+      if (b->job.status.ok()) {
+        b->slot->stats = b->job.stats;
+        b->slot->answers = std::move(b->job.answers);
+      } else {
+        b->slot->status = b->job.status;
+      }
+    };
+    roots[qi] = FrontTask(&node);
+  }
+  const SchedulerRunStats sched_stats = sched->Run(roots);
 
   if (batch_stats != nullptr) {
     BatchStats agg;
     agg.num_queries = queries.size();
-    agg.threads_used = threads_used;
-    agg.tasks_executed = sched_counters.tasks_executed;
-    agg.tasks_stolen = sched_counters.tasks_stolen;
-    agg.steal_attempts = sched_counters.steal_attempts;
-    agg.max_queue_depth = sched_counters.max_queue_depth;
-    agg.overlapped_verify_tasks = sched_counters.overlapped_verify_tasks;
+    agg.threads_used = sched->num_workers();
+    agg.tasks_executed = sched_stats.tasks_executed;
+    agg.tasks_stolen = sched_stats.tasks_stolen;
+    agg.steal_attempts = sched_stats.steal_attempts;
+    agg.max_queue_depth = sched_stats.max_queue_depth;
     for (const BatchQueryResult& r : results) {
       if (!r.status.ok()) {
         ++agg.failed_queries;

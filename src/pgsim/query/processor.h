@@ -5,19 +5,15 @@
 // an optional structural filter into the three-stage pipeline and reports
 // per-stage statistics (the quantities plotted in Figures 9–13). Queries can
 // run one at a time (Query, optionally with a caller-owned QueryContext for
-// allocation reuse) or as a batch (QueryBatch) under one of two schedulers:
+// allocation reuse), as a batch (QueryBatch), or through ServingCore. The
+// last two share one task graph on a work-stealing TaskScheduler: each query
+// is a front-stages task (relaxation -> filter -> pruning) that spawns one
+// verification task per surviving candidate, so stages 1–2 of query B run
+// while query A verifies, and a hot query's candidates are stolen by idle
+// workers. Query() runs the same stage functions inline.
 //
-//   - Scheduler::kChunked: the original chunked parallel-for — workers
-//     claim `chunk_size` whole queries at a time from an atomic cursor.
-//     Cheap and predictable, but one pathological query stalls its chunk.
-//   - Scheduler::kStealing (default): each query decomposes into a
-//     front-stages task (relaxation -> filter -> pruning) plus per-candidate
-//     verification tasks on a work-stealing TaskScheduler, so stages 1–2 of
-//     query B run while query A verifies, and a hot query's candidates are
-//     stolen by idle workers.
-//
-// Answers are bit-identical across both schedulers, any worker count, and
-// any task grain: each query reruns its pipeline from QueryOptions::seed,
+// Answers are bit-identical across Query(), QueryBatch at any worker count,
+// and ServingCore: each query reruns its pipeline from QueryOptions::seed,
 // stage-3 candidates draw from sequentially pre-forked per-candidate RNGs,
 // and verdicts are merged in candidate order (golden_pipeline_test pins
 // this).
@@ -34,7 +30,7 @@
 #include "pgsim/common/cancel.h"
 #include "pgsim/common/random.h"
 #include "pgsim/common/status.h"
-#include "pgsim/common/thread_pool.h"
+#include "pgsim/common/task_scheduler.h"
 #include "pgsim/common/timer.h"
 #include "pgsim/graph/graph.h"
 #include "pgsim/graph/relaxation.h"
@@ -49,7 +45,7 @@ namespace pgsim {
 
 class BatchQueryCache;
 class DurableDatabase;
-class TaskScheduler;
+class QueryProcessor;
 struct QueryContext;
 
 /// One T-PS query's parameters and pipeline switches.
@@ -65,22 +61,12 @@ struct QueryOptions {
   /// Verification engine for surviving candidates.
   enum class VerifyMode { kSample, kExact };
   VerifyMode verify_mode = VerifyMode::kSample;
-  /// Intra-query verification parallelism for the single-query Query()
-  /// entry point and the chunked batch scheduler: stage 3 fans the
-  /// surviving candidates across this many threads (1 = inline on the
-  /// calling thread, 0 = all hardware threads). Every candidate draws from
-  /// its own RNG, pre-forked sequentially in candidate order, and verdicts
-  /// are merged in candidate order — answers are byte-identical at every
-  /// setting. The stealing batch scheduler subsumes this knob (candidates
-  /// become scheduler tasks that any idle worker steals) and ignores it.
-  uint32_t verify_threads = 1;
   /// Neighborhood-signature gating ahead of stage 3 (and the structural
   /// filter's exact check): barren (rq, candidate) pairs are rejected before
   /// their VF2 call and survivors enumerate against signature-built
   /// candidate domains. Prunes provably fruitless work only — answers are
-  /// bit-identical on or off, so (like verify_threads) the knob is excluded
-  /// from the options fingerprint. Ignored when the processor has no
-  /// signature index.
+  /// bit-identical on or off, so the knob is excluded from the options
+  /// fingerprint. Ignored when the processor has no signature index.
   bool use_signatures = true;
   uint64_t seed = 7;       ///< randomized pruning/verification seed
 };
@@ -88,7 +74,7 @@ struct QueryOptions {
 /// Equality-exact byte fingerprint of every QueryOptions field that can
 /// change a query's ANSWER SET (delta, epsilon, relaxation caps, pruner
 /// config, verifier config, structural knobs, stage switches, verify mode,
-/// seed). Execution-only knobs (verify_threads, thread/pool settings) are
+/// seed). Execution-only knobs (use_signatures, batch widths) are
 /// excluded — answers are bit-identical across them by the determinism
 /// doctrine, so they must not fragment the answer-cache key space.
 std::string QueryOptionsFingerprint(const QueryOptions& options);
@@ -104,10 +90,11 @@ std::string QueryOptionsFingerprint(const QueryOptions& options);
 /// (see StructuralFilterStats), so the value shrank when the guard landed
 /// while every survivor set stayed identical.
 /// `*_seconds` fields are wall-clock measurements and vary run to run.
-/// Under the stealing scheduler `verify_seconds` spans front-stages-end to
-/// last-verdict wall clock (candidate tasks may queue behind other queries'
-/// work), and `queue_wait_seconds` reports how long the query waited from
-/// batch admission to the start of its front stages.
+/// On the task graph (QueryBatch, ServingCore) `verify_seconds` spans
+/// front-stages-end to last-verdict wall clock (candidate tasks may queue
+/// behind other queries' work), and in QueryBatch `queue_wait_seconds`
+/// reports how long the query waited from batch admission to the start of
+/// its front stages.
 /// Offline index-build timings live with the index itself: PmiStats
 /// (mining/bounds/total seconds, build_threads) and
 /// StructuralFilterBuildStats (seconds, counted_pairs, build_threads).
@@ -135,7 +122,7 @@ struct QueryStats {
   double verify_seconds = 0.0;     ///< stage 3 wall clock
   double cache_seconds = 0.0;      ///< canonicalization + cache probe time
   double queue_wait_seconds = 0.0; ///< admission -> front-stages start
-                                   ///< (stealing batch scheduler only)
+                                   ///< (QueryBatch only)
   double total_seconds = 0.0;      ///< whole pipeline wall clock
   /// Signature-gate work avoidance (0 with signatures off or no index).
   /// Deterministic like the counter fields above; spans the structural
@@ -146,19 +133,41 @@ struct QueryStats {
   StructuralFilterStats structural_detail;
 };
 
-/// Decomposed per-query pipeline state: the unit the task-graph execution
-/// path schedules. One query becomes a front-stages task (relaxation ->
+/// Decomposed per-query pipeline state: the unit the task graph schedules
+/// (see QueryNode). One query becomes a front-stages task (relaxation ->
 /// match plans -> structural filter -> probabilistic pruning, which also
 /// pre-forks the per-candidate verification RNGs in candidate order) plus
-/// ceil(|to_verify| / task_grain) verification tasks that any worker may
-/// execute; the last one to finish merges verdicts in candidate order.
-/// Everything order-sensitive therefore lives here — the job must outlive
-/// the worker that started it — while reusable *scratch* (filter/pruner/
-/// verifier temporaries) stays in the executing worker's QueryContext.
-/// Sequential Query() reuses the job embedded in its QueryContext, so its
-/// steady-state allocation behavior is unchanged.
+/// one verification task per candidate that any worker may execute; the
+/// last one to finish merges verdicts in candidate order. Everything
+/// order-sensitive and the query's wiring therefore live here — the job
+/// must outlive the worker that started it — while reusable *scratch*
+/// (filter/pruner/verifier temporaries) stays in the executing worker's
+/// QueryContext. Sequential Query() reuses the job embedded in its
+/// QueryContext, so its steady-state allocation behavior is unchanged.
 struct QueryJob {
   const Graph* query = nullptr;
+
+  // ---- Wiring, set by the caller before the front stages run. ----
+  /// Batch-scoped artifact cache (not owned; null = none). Every query
+  /// probing one cache must run under the same QueryOptions (see
+  /// batch_cache.h).
+  BatchQueryCache* cache = nullptr;
+  /// Cross-batch answer cache (not owned; null = none), probed with
+  /// `*answer_fingerprint` (QueryOptionsFingerprint of the options being
+  /// run) at `answer_epoch` (the processor's epoch() under the serving lock
+  /// the query runs in). FinishQuery fills the slot the probe addressed,
+  /// on whichever worker it runs, under the epoch the answer was computed
+  /// at.
+  AnswerCache* answer_cache = nullptr;
+  const std::string* answer_fingerprint = nullptr;
+  uint64_t answer_epoch = 0;
+  /// Cooperative cancellation token (not owned; null = never cancelled).
+  /// Polled at the front-stage checkpoints and every draw of the sampling
+  /// loop.
+  const CancelState* cancel = nullptr;
+  /// Deterministic test hook: per-candidate sampling-draw budget
+  /// (SampleControl::cancel_after_draws). 0 = disabled.
+  uint64_t cancel_after_draws = 0;
 
   /// Relaxation set U: either a cache-shared hold or local storage.
   std::shared_ptr<const std::vector<Graph>> relaxed_hold;
@@ -183,13 +192,6 @@ struct QueryJob {
   /// Per-candidate verdicts, merged in candidate order by FinishQuery.
   std::vector<uint8_t> verdicts;
 
-  /// Cooperative cancellation token (not owned; null = never cancelled),
-  /// wired from QueryContext by RunFrontStages. Polled at the front-stage
-  /// checkpoints and every draw of the sampling loop.
-  const CancelState* cancel = nullptr;
-  /// Deterministic test hook: per-candidate sampling-draw budget
-  /// (SampleControl::cancel_after_draws). 0 = disabled.
-  uint64_t cancel_after_draws = 0;
   /// Set (relaxed; distinct tasks may race to set it true) once any
   /// cancellation point fired — the pipeline unwound early, the answer set
   /// is partial, and `intervals` carries the anytime state. FinishQuery
@@ -212,18 +214,18 @@ struct QueryJob {
   Status status = Status::OK();
   WallTimer total_timer;
   WallTimer verify_timer;
-
-  /// Cross-batch answer cache wiring, captured at probe time so FinishQuery
-  /// (which may run on a different worker under the stealing scheduler) can
-  /// fill the slot the probe addressed, under the epoch the answer was
-  /// computed at.
-  AnswerCache* answer_cache = nullptr;
+  /// The answer-cache slot the front stages' probe addressed.
   AnswerCache::Probe answer_probe;
-  uint64_t answer_epoch = 0;
 
-  /// Clears (capacity-preserving) all per-query state.
+  /// Clears (capacity-preserving) all per-query state and wiring.
   void Clear() {
     query = nullptr;
+    cache = nullptr;
+    answer_cache = nullptr;
+    answer_fingerprint = nullptr;
+    answer_epoch = 0;
+    cancel = nullptr;
+    cancel_after_draws = 0;
     relaxed_hold.reset();
     relaxed_storage.clear();
     relaxed = nullptr;
@@ -238,8 +240,6 @@ struct QueryJob {
     answers.clear();
     verify_rngs.clear();
     verdicts.clear();
-    cancel = nullptr;
-    cancel_after_draws = 0;
     cancelled.store(false, std::memory_order_relaxed);
     intervals.clear();
     sig_pairs_rejected.store(0, std::memory_order_relaxed);
@@ -247,10 +247,29 @@ struct QueryJob {
     vf2_calls_avoided.store(0, std::memory_order_relaxed);
     stats = QueryStats();
     status = Status::OK();
-    answer_cache = nullptr;
     answer_probe = AnswerCache::Probe();
-    answer_epoch = 0;
   }
+};
+
+/// One query as a node of the shared task graph that QueryBatch and
+/// ServingCore both run (QueryProcessor::FrontTask). The front task runs
+/// stages 0–2 on whichever worker claims it and spawns one verification
+/// task per candidate onto that worker's deque; the last task to finish
+/// runs FinishQuery and then `done`. The spawner owns the node, fills
+/// `job.query` and the job's wiring, and keeps the node alive until `done`
+/// has run (`done` may free it: the graph never touches a node afterwards).
+struct QueryNode {
+  QueryJob job;
+  const QueryOptions* options = nullptr;
+  TaskScheduler* sched = nullptr;
+  /// Admission clock: when set, the front task records how long the query
+  /// waited for a worker in job.stats.queue_wait_seconds.
+  const WallTimer* admitted = nullptr;
+  /// Completion hook, run by the last task of the query.
+  void (*done)(QueryNode* node) = nullptr;
+  /// Set by FrontTask.
+  const QueryProcessor* proc = nullptr;
+  std::atomic<uint32_t> remaining{0};  ///< outstanding verification tasks
 };
 
 /// Per-thread reusable query scratch.
@@ -259,35 +278,15 @@ struct QueryJob {
 /// fills per query (filter/pruner/verifier scratch, RNG, and an embedded
 /// QueryJob for the sequential path). QueryProcessor::Query clears them
 /// between runs instead of reallocating, so a steady-state query loop
-/// performs near-zero heap allocation in the processor itself. The chunked
-/// batch path keeps one context per worker rank; the stealing path keeps
-/// one per scheduler worker (owned by the TaskScheduler, so a thread
-/// reuses its scratch across stolen tasks and across batches). A context
-/// must not be shared by two queries running concurrently.
+/// performs near-zero heap allocation in the processor itself. The task
+/// graph keeps one context per scheduler worker (owned by the
+/// TaskScheduler, so a thread reuses its scratch across stolen tasks and
+/// across batches). A context must not be shared by two queries running
+/// concurrently.
 struct QueryContext {
   Rng rng;
-  /// Optional batch-scoped artifact cache (not owned). QueryBatch points
-  /// every worker context at one shared cache; Reset() deliberately leaves
-  /// it attached. Callers wiring it manually must keep QueryOptions fixed
-  /// across all queries probing the same cache (see batch_cache.h).
-  BatchQueryCache* cache = nullptr;
-  /// Optional cross-batch answer cache (not owned; see answer_cache.h).
-  /// When set, `answer_fingerprint` must point at the QueryOptions
-  /// fingerprint of the options being run (QueryOptionsFingerprint) and
-  /// `answer_epoch` must hold the processor's epoch() — QueryBatch wires
-  /// all three from BatchOptions::answer_cache; manual Query() callers do
-  /// the same by hand.
-  AnswerCache* answer_cache = nullptr;
-  const std::string* answer_fingerprint = nullptr;
-  uint64_t answer_epoch = 0;
-  /// Cooperative cancellation wiring (not owned), copied into the job by
-  /// RunFrontStages. The serving core points these at the submitting
-  /// ticket's token before running a query's front stages; batch/sequential
-  /// callers leave them null/0 (never cancelled — bit-identical answers).
-  const CancelState* cancel = nullptr;
-  uint64_t cancel_after_draws = 0;
-  /// Per-query pipeline state for the sequential Query() path (batch
-  /// schedulers use per-query jobs that outlive the worker instead).
+  /// Per-query pipeline state for the sequential Query() path (the task
+  /// graph uses per-query jobs that outlive the worker instead).
   QueryJob job;
   /// Stage 1 temporaries.
   StructuralFilterScratch filter_scratch;
@@ -297,55 +296,21 @@ struct QueryContext {
   /// Stage 3 scratch: the sequential verification path and every stolen
   /// verification task executed by this context's worker use this.
   VerifierScratch verifier_scratch;
-  /// Per-rank scratches for intra-query parallel verification
-  /// (QueryOptions::verify_threads > 1 on the Query()/chunked path).
-  std::vector<VerifierScratch> verify_scratches;
-
-  /// The lazily built pool for intra-query parallel verification. Returns
-  /// null when `threads` <= 1 (run inline); otherwise a pool of exactly
-  /// `threads` workers, kept across queries and rebuilt only when the
-  /// requested width changes.
-  ThreadPool* VerifyPool(uint32_t threads) {
-    if (threads <= 1) return nullptr;
-    if (verify_pool_ == nullptr || verify_pool_->size() != threads) {
-      verify_pool_ = std::make_unique<ThreadPool>(threads);
-    }
-    return verify_pool_.get();
-  }
 
   /// Reseeds the RNG (per-query state is cleared by the pipeline itself).
   void Reset(uint64_t seed) { rng = Rng(seed); }
-
- private:
-  std::unique_ptr<ThreadPool> verify_pool_;
 };
 
 /// Batch execution knobs.
 struct BatchOptions {
-  /// How QueryBatch distributes work across workers (see the file comment).
-  /// Answers are bit-identical under either scheduler.
-  enum class Scheduler { kChunked, kStealing };
-  Scheduler scheduler = Scheduler::kStealing;
-  /// Worker threads; 0 means ThreadPool::DefaultThreads(). 1 runs the batch
-  /// inline on the calling thread (no pool). Ignored when `pool` or
-  /// `stealer` is set.
+  /// Width of the transient scheduler QueryBatch builds when `stealer` is
+  /// null; 0 means ThreadPool::DefaultThreads(). 1 runs the batch inline on
+  /// the calling thread.
   uint32_t num_threads = 0;
-  /// Chunked scheduler: queries claimed per atomic grab; balances atomic
-  /// traffic against skewed per-query cost. (The stealing scheduler always
-  /// admits queries one at a time — balancing skew is its job.)
-  uint32_t chunk_size = 4;
-  /// Stealing scheduler: stage-3 verification candidates per spawned task.
-  /// 1 (default) exposes maximum steal parallelism; raise it if per-task
-  /// overhead ever shows up on very cheap candidates. 0 behaves as 1.
-  uint32_t task_grain = 1;
-  /// Caller-owned pool to run on (not owned; must outlive the call). Server
-  /// loops issuing many batches set this to avoid per-batch thread spawns;
-  /// when null, QueryBatch builds a transient pool of `num_threads`.
-  ThreadPool* pool = nullptr;
   /// Caller-owned work-stealing scheduler (not owned; must outlive the
-  /// call). Wins over `pool`/`num_threads` when set and `scheduler` is
-  /// kStealing. Reusing one scheduler across batches also reuses its
-  /// per-worker QueryContext scratch (no per-batch warm-up allocation).
+  /// call). Wins over `num_threads` when set. Reusing one scheduler across
+  /// batches avoids per-batch thread spawns and reuses its per-worker
+  /// QueryContext scratch (no per-batch warm-up allocation).
   TaskScheduler* stealer = nullptr;
   /// Share relaxation sets and per-query feature embedding counts across
   /// the batch through a BatchQueryCache keyed by canonical query form.
@@ -370,11 +335,8 @@ struct BatchOptions {
 /// parallel batches may report fewer hits than sequential ones. Answers are
 /// unaffected either way (a miss just recomputes the identical artifact).
 /// Scheduler counters (`tasks_*`, `steal_attempts`, `max_queue_depth`,
-/// `overlapped_verify_tasks`, `sum_queue_wait_seconds`) are nonzero only
-/// under the stealing scheduler and vary run to run with the steal
-/// schedule; `overlapped_verify_tasks` counts verification tasks that ran
-/// while some other query's front stages were in flight — direct evidence
-/// of stage-level pipelining.
+/// `sum_queue_wait_seconds`) vary run to run with the steal schedule;
+/// `tasks_executed` is at least one front task per query at every width.
 struct BatchStats {
   size_t num_queries = 0;
   size_t failed_queries = 0;          ///< queries whose pipeline errored
@@ -406,14 +368,11 @@ struct BatchStats {
   size_t answer_cache_misses = 0;
   size_t answer_cache_stale = 0;
   size_t answer_cache_evictions = 0;
-  uint32_t threads_used = 0;          ///< threads that actually ran (1 when
-                                      ///< the inline fallback was taken)
+  uint32_t threads_used = 0;          ///< scheduler width
   size_t tasks_executed = 0;          ///< scheduler tasks (front + verify)
   size_t tasks_stolen = 0;            ///< tasks run by a non-spawning worker
   size_t steal_attempts = 0;          ///< victim probes (incl. unsuccessful)
   size_t max_queue_depth = 0;         ///< deepest worker deque observed
-  size_t overlapped_verify_tasks = 0; ///< verify tasks overlapping another
-                                      ///< query's front stages
   double sum_queue_wait_seconds = 0.0; ///< summed per-query admission waits
   double wall_seconds = 0.0;          ///< batch wall clock
   double sum_query_seconds = 0.0;     ///< summed per-query total_seconds
@@ -485,11 +444,12 @@ class QueryProcessor {
                                       QueryContext* ctx,
                                       QueryStats* stats = nullptr) const;
 
-  /// Runs `queries` under the configured batch scheduler. Results are in
-  /// input order and bit-identical to sequential Query(queries[i], options)
-  /// calls — under either scheduler, at any worker count and task grain:
-  /// every query reruns the pipeline from the same options.seed regardless
-  /// of which worker claims which task.
+  /// Runs `queries` as roots of the task graph (see QueryNode) on
+  /// `batch.stealer` or a transient scheduler of `batch.num_threads`.
+  /// Results are in input order and bit-identical to sequential
+  /// Query(queries[i], options) calls at any worker count: every query
+  /// reruns the pipeline from the same options.seed regardless of which
+  /// worker claims which task.
   std::vector<BatchQueryResult> QueryBatch(
       const std::vector<Graph>& queries, const QueryOptions& options,
       const BatchOptions& batch = BatchOptions(),
@@ -534,16 +494,24 @@ class QueryProcessor {
   }
 
  private:
-  friend struct StealingBatchRunner;  // task bodies (processor.cc)
   friend class ServingCore;  // admission-queue frontend (serving/)
 
-  /// Stage 0–2 of the decomposed pipeline: cache probe, relaxation, match
-  /// plans, structural filter, probabilistic pruning, and the sequential
-  /// pre-fork of per-candidate verification RNGs. Fills `*job`; on return
-  /// job->status reflects any pipeline error, job->to_verify holds the
-  /// candidates awaiting VerifyCandidate, and job->verify_timer is running.
-  void RunFrontStages(const Graph& q, const QueryOptions& options,
-                      QueryContext* ctx, QueryJob* job) const;
+  /// The front task of `node` (see QueryNode): pass it as a root of
+  /// node->sched->Run, or Spawn it from a task running on node->sched.
+  TaskScheduler::Task FrontTask(QueryNode* node) const;
+  static void RunFrontTask(void* ctx, uint32_t worker, uint32_t, uint32_t);
+  static void RunVerifyTask(void* ctx, uint32_t worker, uint32_t k, uint32_t);
+  /// FinishQuery, then the node's completion hook.
+  static void FinishNode(QueryNode* node);
+
+  /// Stage 0–2 of the decomposed pipeline for job->query under the job's
+  /// wiring: cache probe, relaxation, match plans, structural filter,
+  /// probabilistic pruning, and the sequential pre-fork of per-candidate
+  /// verification RNGs. On return job->status reflects any pipeline error,
+  /// job->to_verify holds the candidates awaiting VerifyCandidate, and
+  /// job->verify_timer is running.
+  void RunFrontStages(const QueryOptions& options, QueryContext* ctx,
+                      QueryJob* job) const;
 
   /// Verifies candidate `k` of `job` (writes job->verdicts[k]); safe to
   /// call concurrently for distinct `k` with distinct scratches.
@@ -555,35 +523,6 @@ class QueryProcessor {
 
   Status FrontStagesImpl(const Graph& q, const QueryOptions& options,
                          QueryContext* ctx, QueryJob* job) const;
-
-  /// Query() without the serving lock — the body every locked entry point
-  /// calls (public Query takes the shared lock; QueryBatch holds it for the
-  /// whole batch, so its workers must not re-acquire).
-  Result<std::vector<uint32_t>> QueryImpl(const Graph& q,
-                                          const QueryOptions& options,
-                                          QueryContext* ctx,
-                                          QueryStats* stats) const;
-
-  /// Answer-cache hookup for one batch: the cache, the options fingerprint
-  /// (computed once per batch), and the epoch the batch serves at.
-  struct AnswerCacheWiring {
-    AnswerCache* cache = nullptr;
-    const std::string* fingerprint = nullptr;
-    uint64_t epoch = 0;
-  };
-
-  std::vector<BatchQueryResult> QueryBatchChunked(
-      const std::vector<Graph>& queries, const QueryOptions& options,
-      const BatchOptions& batch, BatchQueryCache* cache,
-      const AnswerCacheWiring& answers, uint32_t num_threads,
-      uint32_t* threads_used) const;
-
-  std::vector<BatchQueryResult> QueryBatchStealing(
-      const std::vector<Graph>& queries, const QueryOptions& options,
-      const BatchOptions& batch, BatchQueryCache* cache,
-      const AnswerCacheWiring& answers, uint32_t num_threads,
-      const WallTimer& batch_timer, uint32_t* threads_used,
-      BatchStats* batch_stats) const;
 
   /// Compact() body; caller holds the unique serving lock.
   void CompactLocked();

@@ -43,16 +43,14 @@ bool TicketState::resolved() const {
 }
 
 // ---------------------------------------------------------------------------
-// Per-query wave state: one QueryRun per popped query ticket, heap-allocated
-// by the pump and deleted by whichever task resolves it (mirrors
-// StealingBatchRunner::Job, which has a batch to own it — waves do not).
+// Per-query wave state: one task-graph node per popped query ticket,
+// heap-allocated by the pump and deleted by its completion hook (a batch
+// owns its nodes; a wave has nothing to own them).
 // ---------------------------------------------------------------------------
 
-struct ServingCore::QueryRun {
+struct ServingCore::QueryRun : QueryNode {
   ServingCore* core = nullptr;
   std::shared_ptr<TicketState> ticket;
-  QueryJob job;
-  std::atomic<uint32_t> remaining{0};  ///< outstanding verify tasks
 };
 
 // ---------------------------------------------------------------------------
@@ -299,7 +297,7 @@ void ServingCore::RunWave() {
   TaskScheduler::Task root;
   root.fn = &ServingCore::PumpTask;
   root.ctx = this;
-  sched_->Run(&root, 1, /*root_chunk=*/1);
+  sched_->Run(&root, 1);
 }
 
 void ServingCore::ApplyMutation(const std::shared_ptr<TicketState>& ticket) {
@@ -368,6 +366,20 @@ void ServingCore::PumpTask(void* ctx, uint32_t worker, uint32_t /*a*/,
     auto* run = new QueryRun();
     run->core = core;
     run->ticket = std::move(ticket);
+    // No batch-scoped cache across a live wave: job.cache stays null.
+    QueryJob& job = run->job;
+    job.query = &run->ticket->query;
+    job.answer_cache = core->options_.answer_cache;
+    job.answer_fingerprint = &core->fingerprint_;
+    job.answer_epoch = core->wave_epoch_;
+    job.cancel = &run->ticket->cancel;
+    job.cancel_after_draws = run->ticket->cancel_after_draws;
+    run->options = &core->options_.query;
+    run->sched = core->sched_.get();
+    run->done = [](QueryNode* node) {
+      auto* done = static_cast<QueryRun*>(node);
+      done->core->FinishRun(done);
+    };
     core->wave_inflight_.fetch_add(1, std::memory_order_acq_rel);
     popped.push_back(run);
   }
@@ -389,78 +401,19 @@ void ServingCore::PumpTask(void* ctx, uint32_t worker, uint32_t /*a*/,
     }
   }
   for (size_t i = popped.size(); i-- > 0;) {
-    TaskScheduler::Task task;
-    task.fn = &ServingCore::QueryTask;
-    task.ctx = popped[i];
-    core->sched_->Spawn(worker, task);
+    const Status injected = FailpointCheck("serving.query.front");
+    if (!injected.ok()) {
+      popped[i]->job.status = injected;
+      core->FinishRun(popped[i]);
+      continue;
+    }
+    core->sched_->Spawn(worker, core->proc_->FrontTask(popped[i]));
   }
   // !stay: queue head is empty or exclusive and nothing is in flight — the
   // wave drains and the dispatcher re-evaluates (mutation, wait, shutdown).
 }
 
-void ServingCore::QueryTask(void* ctx, uint32_t worker, uint32_t /*a*/,
-                            uint32_t /*b*/) {
-  auto* run = static_cast<ServingCore::QueryRun*>(ctx);
-  ServingCore* core = run->core;
-  TicketState* t = run->ticket.get();
-
-  const Status injected = FailpointCheck("serving.query.front");
-  if (!injected.ok()) {
-    run->job.Clear();
-    run->job.status = injected;
-    core->FinishRun(run);
-    return;
-  }
-
-  QueryContext* qctx = core->sched_->WorkerState<QueryContext>(worker);
-  qctx->cache = nullptr;  // no batch-scoped cache across a live wave
-  qctx->answer_cache = core->options_.answer_cache;
-  qctx->answer_fingerprint = &core->fingerprint_;
-  qctx->answer_epoch = core->wave_epoch_;
-  qctx->cancel = &t->cancel;
-  qctx->cancel_after_draws = t->cancel_after_draws;
-  core->proc_->RunFrontStages(t->query, core->options_.query, qctx, &run->job);
-  // The job captured the wiring; clear the per-worker context so a later
-  // query on this worker cannot inherit another ticket's token.
-  qctx->cancel = nullptr;
-  qctx->cancel_after_draws = 0;
-
-  const size_t n = run->job.to_verify.size();
-  if (!run->job.status.ok() || n == 0) {
-    core->FinishRun(run);
-    return;
-  }
-  run->remaining.store(static_cast<uint32_t>(n), std::memory_order_relaxed);
-  // Reverse spawn order: candidate 0 runs next on this worker (LIFO pop)
-  // while thieves steal from the tail — same shape as StealingBatchRunner.
-  for (size_t k = n; k-- > 0;) {
-    TaskScheduler::Task task;
-    task.fn = &ServingCore::VerifyTask;
-    task.ctx = run;
-    task.a = static_cast<uint32_t>(k);
-    task.b = static_cast<uint32_t>(k + 1);
-    core->sched_->Spawn(worker, task);
-  }
-}
-
-void ServingCore::VerifyTask(void* ctx, uint32_t worker, uint32_t a,
-                             uint32_t b) {
-  auto* run = static_cast<ServingCore::QueryRun*>(ctx);
-  ServingCore* core = run->core;
-  QueryContext* qctx = core->sched_->WorkerState<QueryContext>(worker);
-  for (uint32_t k = a; k < b; ++k) {
-    core->proc_->VerifyCandidate(core->options_.query, &run->job, k,
-                                 &qctx->verifier_scratch);
-  }
-  // acq_rel: the last finisher must observe every verdict/interval write.
-  if (run->remaining.fetch_sub(static_cast<uint32_t>(b - a),
-                               std::memory_order_acq_rel) == b - a) {
-    core->FinishRun(run);
-  }
-}
-
 void ServingCore::FinishRun(QueryRun* run) {
-  proc_->FinishQuery(&run->job);
   QueryJob& job = run->job;
   TicketState* t = run->ticket.get();
 

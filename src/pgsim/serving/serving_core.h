@@ -13,10 +13,11 @@
 //   the queue head is a query it takes QueryProcessor::live_mu_ SHARED,
 //   freezes the epoch, and runs one TaskScheduler wave whose single root is
 //   the *pump task*: the pump pops every poppable query (head not an
-//   exclusive mutation), spawns its front-stages task mid-run
-//   (TaskScheduler::Spawn), re-spawns itself while queries are in flight —
-//   so arrivals DURING the wave join it, stage-pipelined with running
-//   queries — and exits once nothing is in flight and no query is poppable.
+//   exclusive mutation) and spawns it mid-run as a node of the processor's
+//   task graph (QueryNode — the graph QueryBatch runs). It re-spawns itself
+//   while queries are in flight — so arrivals DURING the wave join it,
+//   stage-pipelined with running queries — and exits once nothing is in
+//   flight and no query is poppable.
 //   The wave then drains, the shared lock drops, and the dispatcher pops an
 //   exclusive mutation if one heads the queue, applies it (the processor
 //   takes the lock exclusive internally), resolves its ticket, and loops.
@@ -258,11 +259,9 @@ class ServingCore {
   size_t queue_depth() const { return queue_.size(); }
 
  private:
-  struct QueryRun;  // per-query task-graph state (serving_core.cc)
+  struct QueryRun;  // a ticket's task-graph node (serving_core.cc)
 
   static void PumpTask(void* ctx, uint32_t worker, uint32_t a, uint32_t b);
-  static void QueryTask(void* ctx, uint32_t worker, uint32_t a, uint32_t b);
-  static void VerifyTask(void* ctx, uint32_t worker, uint32_t a, uint32_t b);
 
   QueryTicket SubmitTicket(std::shared_ptr<TicketState> ticket);
   void DispatcherLoop();

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pgsim/common/task_scheduler.h"
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/index/pmi.h"
 #include "pgsim/query/processor.h"
@@ -101,49 +102,55 @@ TEST(GoldenPipelineTest, FullPipelineAnswersArePinned) {
   QueryOptions options = s.options;
   const QueryProcessor processor(&s.db, &s.pmi, &s.filter);
 
-  // The pinned values must hold however the batch is executed — including
-  // with stage 3 fanned across an intra-query verification pool, under
-  // either batch scheduler (the work-stealing task graph must reproduce the
-  // chunked parallel-for's answers bit for bit at any steal schedule), and
-  // with the signature gate on or off (its cover test is sound, so skipped
-  // matcher calls can never change an answer or a pinned candidate count).
+  const auto expect_golden = [](const std::vector<BatchQueryResult>& results,
+                                  const std::string& config) {
+    ASSERT_EQ(results.size(), GoldenQueries().size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      const GoldenQuery& golden = GoldenQueries()[i];
+      ASSERT_TRUE(results[i].status.ok()) << "query " << i;
+      EXPECT_EQ(results[i].answers, golden.answers)
+          << "query " << i << " " << config;
+      EXPECT_EQ(results[i].stats.structural_candidates,
+                golden.structural_candidates)
+          << i;
+      EXPECT_EQ(results[i].stats.verification_candidates,
+                golden.verification_candidates)
+          << i;
+      EXPECT_EQ(results[i].stats.num_relaxed_queries,
+                golden.num_relaxed_queries)
+          << i;
+    }
+  };
+
+  // The pinned values must hold however the batch is executed — inline at
+  // width 1 or on four workers at any steal schedule, with the batch cache
+  // on or off, and with the signature gate on or off (its cover test is
+  // sound, so skipped matcher calls can never change an answer or a pinned
+  // candidate count).
   for (const bool use_signatures : {true, false}) {
-  for (const bool enable_cache : {true, false}) {
-    for (const uint32_t threads : {1u, 4u}) {
-      for (const uint32_t verify_threads : {1u, 3u}) {
-      for (const auto scheduler : {BatchOptions::Scheduler::kChunked,
-                                   BatchOptions::Scheduler::kStealing}) {
-      BatchOptions batch;
-      batch.num_threads = threads;
-      batch.enable_cache = enable_cache;
-      batch.scheduler = scheduler;
-      options.verify_threads = verify_threads;
-      options.use_signatures = use_signatures;
-      const auto results = processor.QueryBatch(queries, options, batch);
-      ASSERT_EQ(results.size(), GoldenQueries().size());
-      for (size_t i = 0; i < results.size(); ++i) {
-        const GoldenQuery& golden = GoldenQueries()[i];
-        ASSERT_TRUE(results[i].status.ok()) << "query " << i;
-        EXPECT_EQ(results[i].answers, golden.answers)
-            << "query " << i << " threads=" << threads
-            << " cache=" << enable_cache
-            << " verify_threads=" << verify_threads << " stealing="
-            << (scheduler == BatchOptions::Scheduler::kStealing)
-            << " signatures=" << use_signatures;
-        EXPECT_EQ(results[i].stats.structural_candidates,
-                  golden.structural_candidates)
-            << i;
-        EXPECT_EQ(results[i].stats.verification_candidates,
-                  golden.verification_candidates)
-            << i;
-        EXPECT_EQ(results[i].stats.num_relaxed_queries,
-                  golden.num_relaxed_queries)
-            << i;
-      }
-      }
+    for (const bool enable_cache : {true, false}) {
+      for (const uint32_t threads : {1u, 4u}) {
+        BatchOptions batch;
+        batch.num_threads = threads;
+        batch.enable_cache = enable_cache;
+        options.use_signatures = use_signatures;
+        expect_golden(processor.QueryBatch(queries, options, batch),
+                      "threads=" + std::to_string(threads) +
+                          " cache=" + std::to_string(enable_cache) +
+                          " signatures=" + std::to_string(use_signatures));
       }
     }
   }
+
+  // A caller-owned scheduler reused across batches keeps its per-worker
+  // scratch warm; the second batch must reproduce the pins too.
+  TaskScheduler stealer(4);
+  BatchOptions reused;
+  reused.stealer = &stealer;
+  options.use_signatures = true;
+  for (int round = 0; round < 2; ++round) {
+    expect_golden(processor.QueryBatch(queries, options, reused),
+                  "stealer round " + std::to_string(round));
   }
 }
 

@@ -1,8 +1,9 @@
 // Tests for the checksummed snapshot formats: the SnapshotWriter/Reader
 // container, PMI3 and StructuralFilter round trips with byte-identical
-// re-saves, legacy PMI2 loading, and — the robustness pin — a truncation
-// sweep proving every proper prefix of every snapshot file is rejected with
-// an error (never loaded as zeros), plus bit-flip detection.
+// re-saves, rejection of the pre-PMI3 stream format, and — the robustness
+// pin — a truncation sweep proving every proper prefix of every snapshot
+// file is rejected with an error (never loaded as zeros), plus bit-flip
+// detection.
 
 #include <gtest/gtest.h>
 
@@ -215,88 +216,25 @@ TEST(PmiSnapshotTest, Version1FileLoadsAsBoundOnly) {
   EXPECT_EQ(loaded->stats().exact_cells, 0u);
 }
 
-// Writes a legacy PMI2 file (flat stream: magic, counts, features, columns,
-// epoch/alive/beta/adds/removes trailer — no checksums) equivalent to
-// `pmi`'s state, byte-compatible with the pre-PMI3 Save.
-void WriteLegacyPmi2(const std::string& path,
-                     const ProbabilisticMatrixIndex& pmi, uint64_t epoch,
-                     const std::vector<uint8_t>& alive) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  WriteU32(os, 0x504d4932u);  // "PMI2"
-  WriteU32(os, static_cast<uint32_t>(pmi.features().size()));
-  WriteU32(os, pmi.num_graphs());
-  for (const Feature& f : pmi.features()) {
-    WriteGraph(os, f.graph);
-    WriteU32(os, static_cast<uint32_t>(f.support.size()));
-    for (uint32_t gi : f.support) WriteU32(os, gi);
-    WriteDouble(os, f.frequency);
-    WriteDouble(os, f.discriminative);
-    WriteU32(os, f.level);
-  }
-  for (uint32_t gi = 0; gi < pmi.num_graphs(); ++gi) {
-    const auto column = pmi.EntriesFor(gi);
-    WriteU32(os, static_cast<uint32_t>(column.size()));
-    for (const PmiEntry& e : column) {
-      WriteU32(os, e.feature_id);
-      WriteDouble(os, e.lower_opt);
-      WriteDouble(os, e.upper_opt);
-      WriteDouble(os, e.lower_simple);
-      WriteDouble(os, e.upper_simple);
-    }
-  }
-  WriteU64(os, epoch);
-  for (uint32_t gi = 0; gi < pmi.num_graphs(); ++gi) {
-    os.put(alive[gi] ? '\1' : '\0');
-  }
-  WriteDouble(os, 0.2);
-  WriteU64(os, 0);
-  WriteU64(os, 0);
-}
-
-TEST(PmiSnapshotTest, LegacyPmi2StillLoads) {
-  const auto db = SmallDatabase(9021, 4);
-  auto pmi = ProbabilisticMatrixIndex::Build(db, FastBuild()).value();
+// Pre-PMI3 stream formats are no longer read: a well-formed PMI2 file (an
+// empty index — magic, zero features and graphs, then the epoch, beta
+// watermark and mutation counters) fails like any unknown magic.
+TEST(PmiSnapshotTest, LegacyPmi2IsRejected) {
   const std::string path = testing::TempDir() + "/pgsim_pmi2_legacy.bin";
-  std::vector<uint8_t> alive(pmi.num_graphs(), 1);
-  alive[2] = 0;
-  WriteLegacyPmi2(path, pmi, /*epoch=*/5, alive);
-
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    WriteU32(os, 0x504d4932u);  // "PMI2"
+    WriteU32(os, 0);            // features
+    WriteU32(os, 0);            // graphs
+    WriteU64(os, 0);            // epoch
+    WriteDouble(os, 0.2);       // beta watermark
+    WriteU64(os, 0);            // adds since build
+    WriteU64(os, 0);            // removes since build
+  }
   auto loaded = ProbabilisticMatrixIndex::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_graphs(), pmi.num_graphs());
-  EXPECT_EQ(loaded->epoch(), 5u);
-  EXPECT_TRUE(loaded->bound_only_cells());  // PMI2 predates exact cells
-  EXPECT_FALSE(loaded->IsAlive(2));
-  EXPECT_EQ(loaded->num_alive(), pmi.num_graphs() - 1);
-  for (uint32_t gi = 0; gi < pmi.num_graphs(); ++gi) {
-    if (gi == 2) continue;
-    const auto a = pmi.EntriesFor(gi);
-    const auto b = loaded->EntriesFor(gi);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].feature_id, b[k].feature_id);
-      EXPECT_FLOAT_EQ(a[k].upper_opt, b[k].upper_opt);
-    }
-  }
   std::remove(path.c_str());
-}
-
-TEST(PmiSnapshotTest, LegacyPmi2TruncationSweepNeverLoads) {
-  const auto db = SmallDatabase(9031, 3);
-  auto pmi = ProbabilisticMatrixIndex::Build(db, FastBuild()).value();
-  const std::string path = testing::TempDir() + "/pgsim_pmi2_sweep.bin";
-  WriteLegacyPmi2(path, pmi, 0, std::vector<uint8_t>(pmi.num_graphs(), 1));
-  const std::string full = Slurp(path);
-  ASSERT_TRUE(ProbabilisticMatrixIndex::Load(path).ok());
-
-  // Legacy files have no checksums, but truncation must still surface as an
-  // error from the field readers — never as silently-zero trailing state.
-  for (size_t cut = 0; cut < full.size(); ++cut) {
-    Spit(path, full.substr(0, cut));
-    auto loaded = ProbabilisticMatrixIndex::Load(path);
-    ASSERT_FALSE(loaded.ok()) << "prefix of " << cut << " bytes loaded";
-  }
-  std::remove(path.c_str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 struct FilterSetup {

@@ -4,7 +4,8 @@
 //
 //   * sampled-vs-exact agreement within the tau/xi tolerance on small
 //     seeded graphs, for partition AND tree (overlapping ne set) models;
-//   * byte-identical pipeline answers at verify_threads = 1/2/4/all;
+//   * byte-identical answers between Query() and a one-query QueryBatch
+//     whose candidates spread over 2 or 4 workers;
 //   * steady-state scratch reuse: a second pass over the same workload
 //     performs no event-pool growth;
 //   * determinism: same RNG state => bit-identical estimate, with a fresh
@@ -17,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "pgsim/common/thread_pool.h"
 #include "pgsim/datasets/synthetic.h"
 #include "pgsim/graph/relaxation.h"
 #include "pgsim/graph/vf2.h"
@@ -163,7 +163,7 @@ TEST(VerifierEngineTest, SecondPassPerformsNoPoolGrowth) {
   EXPECT_EQ(scratch.PoolCapacityWords(), capacity_after_first);
 }
 
-TEST(VerifierEngineTest, AnswersByteIdenticalAcrossVerifyThreads) {
+TEST(VerifierEngineTest, AnswersByteIdenticalAcrossIntraQueryWidths) {
   SyntheticOptions dataset;
   dataset.num_graphs = 20;
   dataset.avg_vertices = 10;
@@ -194,19 +194,20 @@ TEST(VerifierEngineTest, AnswersByteIdenticalAcrossVerifyThreads) {
         << "workload must exercise stage 3";
   }
 
-  for (const uint32_t verify_threads : {2u, 4u, 0u}) {
-    QueryOptions opt = options;
-    opt.verify_threads = verify_threads;
-    QueryContext ctx;
+  // Intra-query parallelism: a one-query batch spreads that query's
+  // candidates over the scheduler's workers.
+  for (const uint32_t threads : {2u, 4u}) {
+    BatchOptions batch;
+    batch.num_threads = threads;
     for (size_t i = 0; i < queries.size(); ++i) {
-      QueryStats stats;
-      auto answers = processor.Query(queries[i], opt, &ctx, &stats);
-      ASSERT_TRUE(answers.ok());
-      EXPECT_EQ(*answers, reference[i])
-          << "query " << i << " verify_threads=" << verify_threads;
-      EXPECT_EQ(stats.verification_failures,
+      const auto results = processor.QueryBatch({queries[i]}, options, batch);
+      ASSERT_EQ(results.size(), 1u);
+      ASSERT_TRUE(results[0].status.ok());
+      EXPECT_EQ(results[0].answers, reference[i])
+          << "query " << i << " threads=" << threads;
+      EXPECT_EQ(results[0].stats.verification_failures,
                 reference_stats[i].verification_failures);
-      EXPECT_EQ(stats.answers, reference_stats[i].answers);
+      EXPECT_EQ(results[0].stats.answers, reference_stats[i].answers);
     }
   }
 }
